@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -46,36 +45,12 @@ from .spectroscopy import (
     autler_townes_positions,
     find_peaks,
     population_inversion_scan,
-    probe_response,
     sweep_detuning,
     transparency_fwhm_estimate,
     write_spectrum_csv,
 )
 
 WORKERS_ENV = "DELTA_EITA_WORKERS"
-
-
-def _sweep_chunk(args):
-    drives, dec, chunk = args
-    return [probe_response(drives, dec, d) for d in chunk]
-
-
-def parallel_sweep(drives, dec, grid, workers: int) -> SpectrumTable:
-    """Detuning sweep fanned out over a process pool.
-
-    Points are assembled in grid order, so the result is byte-for-byte
-    identical to the serial sweep for any worker count.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if workers <= 1 or grid.size < 16:
-        return sweep_detuning(drives, dec, grid)
-    chunk_size = max(8, int(np.ceil(grid.size / (4 * workers))))
-    chunks = [grid[k:k + chunk_size] for k in range(0, grid.size, chunk_size)]
-    points = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_sweep_chunk, [(drives, dec, c) for c in chunks]):
-            points.extend(part)
-    return SpectrumTable(points=tuple(points), drives=drives, dec=dec)
 
 
 def _resolve_workers(cfg: RunConfig, flag: int | None) -> int:
@@ -115,8 +90,12 @@ def _summarize_sweep(table: SpectrumTable, path) -> str:
 
 
 def run(cfg: RunConfig, workers_flag: int | None = None) -> int:
-    """Execute one mode; returns the process exit status."""
-    workers = _resolve_workers(cfg, workers_flag)
+    """Execute one mode; returns the process exit status.
+
+    The worker count is resolved only to validate it: sweeps run as
+    stacked solves in this process, so no output depends on it.
+    """
+    _resolve_workers(cfg, workers_flag)
 
     if cfg.mode == "steady":
         lv = build_liouvillian(rotating_hamiltonian(cfg.drives), cfg.dec)
@@ -129,7 +108,7 @@ def run(cfg: RunConfig, workers_flag: int | None = None) -> int:
         return 0
 
     if cfg.mode == "sweep":
-        table = parallel_sweep(cfg.drives, cfg.dec, cfg.grid(), workers)
+        table = sweep_detuning(cfg.drives, cfg.dec, cfg.grid())
         path = _out_path(cfg, "sweep")
         write_spectrum_csv(table, path, {"units": cfg.units})
         print(f"sweep n={len(table)} {_summarize_sweep(table, path)}")
@@ -138,7 +117,7 @@ def run(cfg: RunConfig, workers_flag: int | None = None) -> int:
     if cfg.mode == "phase-sweep":
         for phi in cfg.phases:
             drives = cfg.drives.with_loop_phase(phi)
-            table = parallel_sweep(drives, cfg.dec, cfg.grid(), workers)
+            table = sweep_detuning(drives, cfg.dec, cfg.grid())
             path = _out_path(cfg, "phase_sweep", f"_phi{phi:.4f}")
             write_spectrum_csv(table, path, {"units": cfg.units})
             print(f"phase-sweep phi={phi:.4f} n={len(table)} "
@@ -156,8 +135,8 @@ def run(cfg: RunConfig, workers_flag: int | None = None) -> int:
             if k > 0:
                 current = evolve(lv, current, times[k] - times[k - 1], cfg.evolve_dt)
             pops = np.diag(current).real
-            lines.append(f"{t!r},{pops[0]!r},{pops[1]!r},{pops[2]!r},"
-                         f"{current[2, 0].real!r},{current[2, 0].imag!r}")
+            row = (t, pops[0], pops[1], pops[2], current[2, 0].real, current[2, 0].imag)
+            lines.append(",".join(repr(float(v)) for v in row))
         path = _out_path(cfg, "evolve")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         pops = np.diag(current).real
@@ -189,7 +168,7 @@ def run(cfg: RunConfig, workers_flag: int | None = None) -> int:
         if cfg.tie_probe_to_input:
             drives = drives.with_probe_magnitude(
                 2.0 * np.sqrt(cfg.dec.gamma13) * abs(cfg.a_in))
-        table = parallel_sweep(drives, cfg.dec, cfg.grid(), workers)
+        table = sweep_detuning(drives, cfg.dec, cfg.grid())
         points = reflection_from_table(table, cfg.a_in)
         path = _out_path(cfg, "reflect")
         write_reflection_csv(points, path, {
@@ -201,7 +180,7 @@ def run(cfg: RunConfig, workers_flag: int | None = None) -> int:
         return 0
 
     if cfg.mode == "verify":
-        results = verify_mod.run_all(workers=workers)
+        results = verify_mod.run_all()
         failed = 0
         for res in results:
             print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")
@@ -221,7 +200,9 @@ def main(argv=None) -> int:
     parser.add_argument("--mode", default=None, help="override the config mode")
     parser.add_argument("--out", default=None, help="override the output directory")
     parser.add_argument("--workers", type=int, default=None,
-                        help=f"worker processes (default: {WORKERS_ENV} or CPU count)")
+                        help=f"accepted and validated like [run] workers and {WORKERS_ENV}; "
+                             "sweeps run in one process and outputs do not "
+                             "depend on the value")
     parser.add_argument("--units", default=None, choices=("gamma13", "MHz"),
                         help="override the [atom] units flag")
     parser.add_argument("--dump-config", action="store_true",

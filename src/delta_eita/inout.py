@@ -44,7 +44,7 @@ def output_amplitude(a_in: complex, gamma13: float, rho31: complex) -> complex:
     """Mean output field a_in + sqrt(gamma13) * rho31."""
     if gamma13 < 0.0:
         raise ValueError(f"gamma13 must be >= 0, got {gamma13}")
-    return complex(a_in) + np.sqrt(gamma13) * complex(rho31)
+    return complex(complex(a_in) + np.sqrt(gamma13) * complex(rho31))
 
 
 def homodyne_signal(a_out: complex, lo_phase: float) -> float:

@@ -102,17 +102,22 @@ _DPHI3 = dissipator_superop(SIGMA33)
 def build_liouvillian(h, dec: Decoherence) -> np.ndarray:
     """Assemble the 9x9 generator for Hamiltonian ``h`` and rates ``dec``.
 
-    Raises NotHermitian if ``h`` is not Hermitian within 1e-10 elementwise.
-    The returned matrix annihilates the trace from the left by
-    construction (vec(I)^H L = 0).
+    ``h`` is one 3x3 Hamiltonian or a stack ``(m, 3, 3)``, which gives a
+    stack ``(m, 9, 9)`` built with the same elementwise arithmetic as m
+    single calls.  Raises NotHermitian if ``h`` (for a stack, its first
+    such member) is not Hermitian within 1e-10 elementwise.  The returned
+    matrix annihilates the trace from the left by construction
+    (vec(I)^H L = 0).
     """
-    h = numerics.as_complex_matrix(h, square=True)
-    if h.shape != (DIM, DIM):
+    h = numerics.as_complex_matrix(h, square=True, stack=True)
+    if h.shape[-2:] != (DIM, DIM):
         raise DimensionMismatch(f"expected 3x3 Hamiltonian, got {h.shape}")
-    asym = np.max(np.abs(h - h.conj().T))
-    if asym > DENSITY_HERMITICITY_TOL:
-        raise NotHermitian(f"Hamiltonian asymmetry {asym:.3e}")
-    lv = -1j * (np.kron(_IDENTITY, h) - np.kron(h.T, _IDENTITY))
+    ht = np.swapaxes(h, -1, -2)
+    asym = np.max(np.abs(h - ht.conj()), axis=(-2, -1)).reshape(-1)
+    if np.any(asym > DENSITY_HERMITICITY_TOL):
+        k = int(np.argmax(asym > DENSITY_HERMITICITY_TOL))
+        raise NotHermitian(f"Hamiltonian asymmetry {asym[k]:.3e}")
+    lv = -1j * (np.kron(_IDENTITY, h) - np.kron(ht, _IDENTITY))
     lv += dec.gamma12 * _D12 + dec.gamma13 * _D13 + dec.gamma23 * _D23
     if dec.gphi2 > 0.0:
         lv += dec.gphi2 * _DPHI2
@@ -126,21 +131,26 @@ def validate_density_matrix(rho, trace_tol: float = DENSITY_TRACE_TOL,
                             eig_floor: float = DENSITY_EIGENVALUE_FLOOR) -> np.ndarray:
     """Check trace, Hermiticity and positivity; return the Hermitized state.
 
-    Raises InvariantViolation when any bound is broken.
+    ``rho`` is one 3x3 matrix or a stack ``(m, 3, 3)`` checked member by
+    member.  Raises InvariantViolation when any bound is broken; for a
+    stack the message is that of the first failing member.
     """
-    rho = numerics.as_complex_matrix(rho, square=True)
-    if rho.shape != (DIM, DIM):
+    rho = numerics.as_complex_matrix(rho, square=True, stack=True)
+    if rho.shape[-2:] != (DIM, DIM):
         raise DimensionMismatch(f"expected 3x3 density matrix, got {rho.shape}")
-    asym = np.max(np.abs(rho - rho.conj().T))
-    if asym > herm_tol:
-        raise InvariantViolation(f"Hermiticity violated by {asym:.3e}")
-    drift = abs(np.trace(rho) - 1.0)
-    if drift > trace_tol:
-        raise InvariantViolation(f"trace deviates from 1 by {drift:.3e}")
-    sym = 0.5 * (rho + rho.conj().T)
-    lowest = np.min(np.linalg.eigvalsh(sym))
-    if lowest < eig_floor:
-        raise InvariantViolation(f"negative eigenvalue {lowest:.3e}")
+    adjoint = np.swapaxes(rho, -1, -2).conj()
+    asym = np.max(np.abs(rho - adjoint), axis=(-2, -1)).reshape(-1)
+    drift = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).reshape(-1)
+    sym = 0.5 * (rho + adjoint)
+    lowest = np.min(np.linalg.eigvalsh(sym), axis=-1).reshape(-1)
+    failed = (asym > herm_tol) | (drift > trace_tol) | (lowest < eig_floor)
+    if np.any(failed):
+        k = int(np.argmax(failed))
+        if asym[k] > herm_tol:
+            raise InvariantViolation(f"Hermiticity violated by {asym[k]:.3e}")
+        if drift[k] > trace_tol:
+            raise InvariantViolation(f"trace deviates from 1 by {drift[k]:.3e}")
+        raise InvariantViolation(f"negative eigenvalue {lowest[k]:.3e}")
     return sym
 
 
@@ -152,24 +162,32 @@ def steady_state(lv) -> np.ndarray:
     dependent on rows 4 and 8 through trace preservation, so no rank is
     lost.  Raises DegenerateSteadyState when the solve is singular or the
     residual against the original L exceeds ``STEADY_STATE_RESIDUAL``.
+
+    ``lv`` is one 9x9 Liouvillian or a stack ``(m, 9, 9)``, which gives
+    the ``(m, 3, 3)`` states, each bit for bit the state of its member
+    alone.  The checks run in the same order as for one matrix; each
+    raises with the message of its first failing member.
     """
-    lv = numerics.as_complex_matrix(lv, square=True)
-    if lv.shape != (DIM * DIM, DIM * DIM):
+    lv = numerics.as_complex_matrix(lv, square=True, stack=True)
+    if lv.shape[-2:] != (DIM * DIM, DIM * DIM):
         raise DimensionMismatch(f"expected 9x9 Liouvillian, got {lv.shape}")
     a = lv.copy()
-    a[0, :] = _TRACE_ROW
+    a[..., 0, :] = _TRACE_ROW
     b = np.zeros(DIM * DIM, dtype=complex)
     b[0] = 1.0
     try:
         x = numerics.solve_linear(a, b)
     except SingularMatrix as exc:
         raise DegenerateSteadyState(f"singular steady-state solve: {exc}") from exc
-    residual = np.max(np.abs(lv @ x))
-    if residual > STEADY_STATE_RESIDUAL:
+    residual = np.max(np.abs((lv @ x[..., None])[..., 0]), axis=-1).reshape(-1)
+    if np.any(residual > STEADY_STATE_RESIDUAL):
+        k = int(np.argmax(residual > STEADY_STATE_RESIDUAL))
         raise DegenerateSteadyState(
-            f"steady-state residual {residual:.3e} exceeds "
+            f"steady-state residual {residual[k]:.3e} exceeds "
             f"{STEADY_STATE_RESIDUAL:.0e} (nullity > 1?)")
-    return validate_density_matrix(devectorize(x))
+    # column stacking, as in devectorize, for every member at once
+    rho = np.swapaxes(x.reshape(x.shape[:-1] + (DIM, DIM)), -1, -2)
+    return validate_density_matrix(rho)
 
 
 def default_timestep(lv) -> float:

@@ -23,16 +23,18 @@ SINGULARITY_THRESHOLD = 1e-12
 HERMITICITY_TOLERANCE = 1e-12
 
 
-def as_complex_matrix(a, square: bool = False) -> np.ndarray:
+def as_complex_matrix(a, square: bool = False, stack: bool = False) -> np.ndarray:
     """Coerce ``a`` to a 2-d complex array, enforcing finiteness.
 
-    Raises DimensionMismatch for non-2d (or non-square when ``square``)
-    input and ValueError for NaN/Inf entries.
+    With ``stack`` a 3-d array, a stack of matrices along the first axis,
+    is accepted as well.  Raises DimensionMismatch for any other ndim (or
+    non-square matrices when ``square``) and ValueError for NaN/Inf
+    entries.
     """
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stack and m.ndim == 3):
         raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
-    if square and m.shape[0] != m.shape[1]:
+    if square and m.shape[-2] != m.shape[-1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")
@@ -55,29 +57,37 @@ def kron(a, b) -> np.ndarray:
 
 
 def solve_linear(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` by pivoted LU.
+    """Solve ``a @ x = b`` by pivoted LU, for one matrix or a stack.
 
-    Raises SingularMatrix when the smallest pivot falls below
-    ``SINGULARITY_THRESHOLD`` relative to the largest matrix entry.
+    ``a`` is ``(n, n)`` or a stack ``(m, n, n)``; the length-n right-hand
+    side ``b`` is shared by every member, and ``x`` has shape
+    ``a.shape[:-1]``.  scipy factors each member of a stack on its own, so
+    every member's solution is bit for bit the one it gets alone.
+
+    Raises SingularMatrix when a member's smallest pivot falls below
+    ``SINGULARITY_THRESHOLD`` relative to its largest entry.  For a stack
+    the message is that of the first such member, as if solved alone.
     """
-    a = as_complex_matrix(a, square=True)
+    a = as_complex_matrix(a, square=True, stack=True)
     b = as_complex_vector(b)
-    if b.shape[0] != a.shape[0]:
+    if b.shape[0] != a.shape[-1]:
         raise DimensionMismatch(
-            f"rhs length {b.shape[0]} does not match matrix size {a.shape[0]}")
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
-        raise SingularMatrix("zero matrix")
+            f"rhs length {b.shape[0]} does not match matrix size {a.shape[-1]}")
     with warnings.catch_warnings():
         # exact-singular input announces itself via the pivot check below
         warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if np.min(pivots) < SINGULARITY_THRESHOLD * scale:
+    scale = np.max(np.abs(a), axis=(-2, -1)).reshape(-1)
+    pivots = np.min(np.abs(np.diagonal(lu, axis1=-2, axis2=-1)), axis=-1).reshape(-1)
+    singular = (scale == 0.0) | (pivots < SINGULARITY_THRESHOLD * scale)
+    if np.any(singular):
+        k = int(np.argmax(singular))
+        if scale[k] == 0.0:
+            raise SingularMatrix("zero matrix")
         raise SingularMatrix(
-            f"relative pivot {np.min(pivots) / scale:.3e} below "
+            f"relative pivot {pivots[k] / scale[k]:.3e} below "
             f"{SINGULARITY_THRESHOLD:.0e}")
-    return lu_solve((lu, piv), b, check_finite=False)
+    return lu_solve((lu, piv), b[:, None], check_finite=False)[..., 0]
 
 
 def expm(a) -> np.ndarray:

