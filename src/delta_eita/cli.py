@@ -7,7 +7,6 @@ error, 4 resolution/window error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -50,23 +49,6 @@ from .spectroscopy import (
     write_spectrum_csv,
 )
 
-WORKERS_ENV = "DELTA_EITA_WORKERS"
-
-
-def _resolve_workers(cfg: RunConfig, flag: int | None) -> int:
-    if flag is not None:
-        return max(1, flag)
-    if cfg.workers:
-        return cfg.workers
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValidationError(f"{WORKERS_ENV}={env!r} is not an integer") from exc
-    return os.cpu_count() or 1
-
-
 def _out_path(cfg: RunConfig, default_base: str, suffix: str = "") -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -89,14 +71,8 @@ def _summarize_sweep(table: SpectrumTable, path) -> str:
             f"csv={path}")
 
 
-def run(cfg: RunConfig, workers_flag: int | None = None) -> int:
-    """Execute one mode; returns the process exit status.
-
-    The worker count is resolved only to validate it: sweeps run as
-    stacked solves in this process, so no output depends on it.
-    """
-    _resolve_workers(cfg, workers_flag)
-
+def run(cfg: RunConfig) -> int:
+    """Execute one mode; returns the process exit status."""
     if cfg.mode == "steady":
         lv = build_liouvillian(rotating_hamiltonian(cfg.drives), cfg.dec)
         rho = steady_state(lv)
@@ -128,18 +104,14 @@ def run(cfg: RunConfig, workers_flag: int | None = None) -> int:
         lv = build_liouvillian(rotating_hamiltonian(cfg.drives), cfg.dec)
         rho = {"ground": ground_state(), "mixed": maximally_mixed(),
                "excited": level_projector(3)}[cfg.evolve_initial]
-        times = np.linspace(0.0, cfg.evolve_t, 201)
         lines = ["t,pop1,pop2,pop3,re_rho31,im_rho31"]
-        current = rho
-        for k, t in enumerate(times):
-            if k > 0:
-                current = evolve(lv, current, times[k] - times[k - 1], cfg.evolve_dt)
+        for t in np.linspace(0.0, cfg.evolve_t, 201):
+            current = evolve(lv, rho, t)
             pops = np.diag(current).real
             row = (t, pops[0], pops[1], pops[2], current[2, 0].real, current[2, 0].imag)
             lines.append(",".join(repr(float(v)) for v in row))
         path = _out_path(cfg, "evolve")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        pops = np.diag(current).real
         print(f"evolve t={cfg.evolve_t:g} initial={cfg.evolve_initial} "
               f"pops=({pops[0]:.6g},{pops[1]:.6g},{pops[2]:.6g}) csv={path}")
         return 0
@@ -200,9 +172,7 @@ def main(argv=None) -> int:
     parser.add_argument("--mode", default=None, help="override the config mode")
     parser.add_argument("--out", default=None, help="override the output directory")
     parser.add_argument("--workers", type=int, default=None,
-                        help=f"accepted and validated like [run] workers and {WORKERS_ENV}; "
-                             "sweeps run in one process and outputs do not "
-                             "depend on the value")
+                        help="ignored; accepted so existing command lines keep working")
     parser.add_argument("--units", default=None, choices=("gamma13", "MHz"),
                         help="override the [atom] units flag")
     parser.add_argument("--dump-config", action="store_true",
@@ -223,7 +193,7 @@ def main(argv=None) -> int:
         if args.dump_config:
             print(dump_config(cfg), end="")
             return 0
-        return run(cfg, workers_flag=args.workers)
+        return run(cfg)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

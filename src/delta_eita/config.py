@@ -2,13 +2,13 @@
 
 Sections and keys (anything else is a ParseError):
 
-    [run]        mode, workers
+    [run]        mode
     [atom]       units, gamma12, gamma13, gamma23, gphi2, gphi3
     [drives.d12] magnitude, phase           (detuning is derived, not settable)
     [drives.d13] magnitude, phase, detuning
     [drives.d23] magnitude, phase, detuning
     [sweep]      lo, hi, points, phases
-    [evolve]     t, dt, initial
+    [evolve]     t, initial
     [fluxonium]  ej, ec, el, basis_size, gamma_ref_mhz
     [reflect]    a_in_re, a_in_im, tie_probe_to_input
     [output]     dir, basename
@@ -36,13 +36,13 @@ UNITS = ("gamma13", "MHz")
 INITIAL_STATES = ("ground", "mixed", "excited")
 
 _SCHEMA = {
-    "run": ("mode", "workers"),
+    "run": ("mode",),
     "atom": ("units", "gamma12", "gamma13", "gamma23", "gphi2", "gphi3"),
     "drives.d12": ("magnitude", "phase", "detuning"),
     "drives.d13": ("magnitude", "phase", "detuning"),
     "drives.d23": ("magnitude", "phase", "detuning"),
     "sweep": ("lo", "hi", "points", "phases"),
-    "evolve": ("t", "dt", "initial"),
+    "evolve": ("t", "initial"),
     "fluxonium": ("ej", "ec", "el", "basis_size", "gamma_ref_mhz"),
     "reflect": ("a_in_re", "a_in_im", "tie_probe_to_input"),
     "output": ("dir", "basename"),
@@ -64,7 +64,6 @@ class RunConfig:
     grid_points: int
     phases: tuple[float, ...]
     evolve_t: float
-    evolve_dt: float | None
     evolve_initial: str
     fluxonium: FluxoniumParams | None
     gamma_ref_mhz: float | None
@@ -72,7 +71,6 @@ class RunConfig:
     tie_probe_to_input: bool
     out_dir: str
     basename: str
-    workers: int
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.grid_lo, self.grid_hi, self.grid_points)
@@ -93,14 +91,20 @@ class _Section:
             return None
         return self.mapping.get(key)
 
+    def _finite(self, key, raw, values):
+        if not np.all(np.isfinite(values)):
+            raise ValidationError(f"[{self.name}] {key} = {raw!r} is not finite")
+        return values
+
     def getfloat(self, key, default=None):
         raw = self._raw(key)
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ParseError(f"[{self.name}] {key} = {raw!r} is not a number") from exc
+        return self._finite(key, raw, value)
 
     def getint(self, key, default=None):
         raw = self._raw(key)
@@ -131,16 +135,17 @@ class _Section:
         if raw is None:
             return tuple(default)
         try:
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+            values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
         except ValueError as exc:
             raise ParseError(f"[{self.name}] {key} = {raw!r} is not a float list") from exc
+        return self._finite(key, raw, values)
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config document.
 
-    Unknown sections or keys raise ParseError; values breaking model
-    invariants raise ValidationError.
+    Unknown sections or keys raise ParseError; non-finite numbers and
+    values breaking model invariants raise ValidationError.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -174,11 +179,6 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError("missing [run] mode")
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-
-    workers = run.getint("workers", None)
-    if workers is not None and workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-    workers = workers or 0  # 0 = unset, resolved by the CLI
 
     units = atom.getstr("units", "gamma13")
     if units not in UNITS:
@@ -238,12 +238,8 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError("phase-sweep needs a nonempty [sweep] phases list")
 
     evolve_t = evolve.getfloat("t", 10.0)
-    evolve_dt = evolve.getfloat("dt", None)
-    if mode == "evolve":
-        if evolve_t < 0.0:
-            raise ValidationError(f"evolve t must be >= 0, got {evolve_t}")
-        if evolve_dt is not None and evolve_dt <= 0.0:
-            raise ValidationError(f"evolve dt must be > 0, got {evolve_dt}")
+    if mode == "evolve" and evolve_t < 0.0:
+        raise ValidationError(f"evolve t must be >= 0, got {evolve_t}")
     evolve_initial = evolve.getstr("initial", "ground")
     if evolve_initial not in INITIAL_STATES:
         raise ValidationError(
@@ -277,7 +273,6 @@ def parse_config(text: str) -> RunConfig:
         grid_points=grid_points,
         phases=tuple(phases),
         evolve_t=evolve_t,
-        evolve_dt=evolve_dt,
         evolve_initial=evolve_initial,
         fluxonium=fluxonium,
         gamma_ref_mhz=gamma_ref_mhz,
@@ -285,7 +280,6 @@ def parse_config(text: str) -> RunConfig:
         tie_probe_to_input=tie,
         out_dir=output.getstr("dir", "out"),
         basename=output.getstr("basename", ""),
-        workers=workers,
     )
 
 
@@ -294,8 +288,6 @@ def dump_config(cfg: RunConfig) -> str:
     dump always carries ``units = gamma13``); re-parsing reproduces the
     same RunConfig."""
     lines = ["[run]", f"mode = {cfg.mode}"]
-    if cfg.workers:
-        lines.append(f"workers = {cfg.workers}")
     if cfg.dec is not None and cfg.drives is not None:
         lines += [
             "", "[atom]", "units = gamma13",
@@ -318,8 +310,6 @@ def dump_config(cfg: RunConfig) -> str:
               "phases = " + ",".join(repr(p) for p in cfg.phases)]
     lines += ["", "[evolve]", f"t = {cfg.evolve_t!r}",
               f"initial = {cfg.evolve_initial}"]
-    if cfg.evolve_dt is not None:
-        lines.append(f"dt = {cfg.evolve_dt!r}")
     if cfg.fluxonium is not None:
         lines += ["", "[fluxonium]",
                   f"ej = {cfg.fluxonium.ej!r}", f"ec = {cfg.fluxonium.ec!r}",
@@ -337,7 +327,7 @@ def dump_config(cfg: RunConfig) -> str:
 
 
 def with_overrides(cfg: RunConfig, mode: str | None = None,
-                   out_dir: str | None = None, workers: int | None = None) -> RunConfig:
+                   out_dir: str | None = None) -> RunConfig:
     """Apply CLI flag overrides to a parsed config."""
     updates = {}
     if mode is not None:
@@ -346,8 +336,4 @@ def with_overrides(cfg: RunConfig, mode: str | None = None,
         updates["mode"] = mode
     if out_dir is not None:
         updates["out_dir"] = out_dir
-    if workers is not None:
-        if workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {workers}")
-        updates["workers"] = workers
     return dataclasses.replace(cfg, **updates) if updates else cfg

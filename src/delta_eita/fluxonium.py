@@ -10,11 +10,11 @@ in the eigenbasis of the (ec, el) harmonic oscillator:
     phi = phi_zpf (a + a^dag),   n = i n_zpf (a^dag - a),
     phi_zpf = (8 ec / el)^(1/4) / sqrt(2),  n_zpf = (el / 8 ec)^(1/4) / sqrt(2)
 
-and cos(phi) is evaluated through the exact unitary exponential of
-i*phi, which stays accurate at large zero-point spread.  Flux enters the
-inductive term; the alternative gauge (flux inside the cosine) gives the
-same spectrum, and only matrix-element magnitudes are exported, so the
-choice is observable-free.
+and cos(phi) is evaluated exactly from the eigendecomposition of the
+real-symmetric phi, which stays accurate at large zero-point spread.
+Flux enters the inductive term; the alternative gauge (flux inside the
+cosine) gives the same spectrum, and only matrix-element magnitudes are
+exported, so the choice is observable-free.
 
 The lowest three eigenstates are the working levels |1>, |2>, |3>;
 ``t_ij`` denotes |<i| n |j>|, the charge coupling to a transmission line.
@@ -110,8 +110,8 @@ def _oscillator_ops(ec: float, el: float, n: int):
     ladder = np.diag(np.sqrt(np.arange(1.0, n)), 1)
     phi = phi_zpf * (ladder + ladder.T)
     charge = 1j * n_zpf * (ladder.T - ladder)
-    unitary = numerics.expm(1j * phi)
-    cos_phi = 0.5 * (unitary + unitary.conj().T)
+    w, v = np.linalg.eigh(phi)
+    cos_phi = (v * np.cos(w)) @ v.T
     return phi, charge, cos_phi
 
 

@@ -1,4 +1,4 @@
-"""Liouvillian construction, steady states and time evolution.
+"""Liouvillian construction, steady states and exact time evolution.
 
 The master equation is
 
@@ -12,6 +12,10 @@ States are vectorized by column stacking: rho[i, j] sits at position
 j*3 + i, so vec(A rho B) = (B^T kron A) vec(rho) and
 
     L = -i (I kron H - H^T kron I) + sum gamma * D-superoperators.
+
+The equation is linear with a constant generator, so the steady state is
+the unit-trace kernel vector of L and time evolution is the exact
+propagator exp(L t).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ DENSITY_HERMITICITY_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_EIGENVALUE_FLOOR = -1e-9
 
-#: Looser gates applied to fixed-step integration output.
+#: Looser gates applied to propagated states.
 EVOLVE_TRACE_TOL = 1e-8
 EVOLVE_EIGENVALUE_FLOOR = -1e-6
 
@@ -191,40 +195,31 @@ def steady_state(lv) -> np.ndarray:
 
 
 def default_timestep(lv) -> float:
-    """Conservative fixed RK4 step, 1e-3 / max(1, ||L||_inf)."""
+    """Step of a conservative fixed-step RK4, 1e-3 / max(1, ||L||_inf).
+
+    :func:`evolve` does not step.  ``bench/spans.py`` converts each evolve
+    call into the steps a fixed-step RK4 at this step would take, its
+    ``lindblad.evolve.rk4_steps`` counter.
+    """
     return 1e-3 / max(1.0, np.linalg.norm(lv, np.inf))
 
 
-def evolve(lv, rho0, t: float, dt: float | None = None) -> np.ndarray:
-    """Propagate ``rho0`` for time ``t`` with classic fixed-step RK4.
+def evolve(lv, rho0, t: float) -> np.ndarray:
+    """Propagate ``rho0`` for time ``t``: vec(rho(t)) = exp(L t) vec(rho0).
 
-    The final partial step is shortened to land exactly on ``t``.  The
-    result is re-Hermitized once per call and validated with the
-    integration gates (trace drift <= 1e-8, eigenvalues >= -1e-6);
-    violations raise InvariantViolation and usually mean ``dt`` is too
-    large for the Liouvillian's spectral radius.
+    ``t`` must be finite and >= 0 (ValueError otherwise).  The result is
+    re-Hermitized and validated with the propagation gates (trace drift
+    <= 1e-8, eigenvalues >= -1e-6); violations raise InvariantViolation.
     """
     lv = numerics.as_complex_matrix(lv, square=True)
     if lv.shape != (DIM * DIM, DIM * DIM):
         raise DimensionMismatch(f"expected 9x9 Liouvillian, got {lv.shape}")
+    if not np.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t}")
     if t < 0.0:
         raise ValueError(f"evolution time must be >= 0, got {t}")
-    if dt is None:
-        dt = default_timestep(lv)
-    if dt <= 0.0:
-        raise ValueError(f"time step must be > 0, got {dt}")
     rho0 = validate_density_matrix(rho0)
-    v = vectorize(rho0)
-    remaining = float(t)
-    while remaining > 0.0:
-        step = dt if remaining >= dt else remaining
-        k1 = lv @ v
-        k2 = lv @ (v + (0.5 * step) * k1)
-        k3 = lv @ (v + (0.5 * step) * k2)
-        k4 = lv @ (v + step * k3)
-        v = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        remaining -= step
-    rho = devectorize(v)
+    rho = devectorize(numerics.expm(lv * t) @ vectorize(rho0))
     rho = 0.5 * (rho + rho.conj().T)
     return validate_density_matrix(
         rho, trace_tol=EVOLVE_TRACE_TOL, eig_floor=EVOLVE_EIGENVALUE_FLOOR)

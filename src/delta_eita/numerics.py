@@ -1,8 +1,8 @@
 """Dense complex linear-algebra kernels used by the physics modules.
 
 Everything here is domain-free: Kronecker products, a pivoted linear solve
-with explicit singularity detection, a scaling-and-squaring matrix
-exponential, and Hermitian eigendecomposition.  Matrices are plain
+with explicit singularity detection, the matrix exponential, and
+Hermitian eigendecomposition.  Matrices are plain
 ``numpy.ndarray`` of complex128; the validation helpers enforce the finite-
 entries contract at the boundary.
 """
@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import expm as scipy_expm
 
 from .errors import DimensionMismatch, NotHermitian, SingularMatrix
 
@@ -91,29 +92,12 @@ def solve_linear(a, b) -> np.ndarray:
 
 
 def expm(a) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a Taylor core.
+    """Matrix exponential of a finite square matrix.
 
-    The input is scaled by 2**s so the scaled infinity norm is at most 0.5,
-    the exponential of the scaled matrix is summed to machine precision,
-    and the result is squared s times.
+    scipy's scaling-and-squaring Pade algorithm (Al-Mohy & Higham, SIAM
+    J. Matrix Anal. Appl. 31, 970 (2009)).
     """
-    a = as_complex_matrix(a, square=True)
-    n = a.shape[0]
-    norm = np.linalg.norm(a, np.inf)
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(np.ceil(np.log2(norm / 0.5)))
-    m = a / (2.0 ** squarings)
-    result = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    for k in range(1, 30):
-        term = term @ m / k
-        result = result + term
-        if np.max(np.abs(term)) <= 1e-20 * max(1.0, np.max(np.abs(result))):
-            break
-    for _ in range(squarings):
-        result = result @ result
-    return result
+    return scipy_expm(as_complex_matrix(a, square=True))
 
 
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:

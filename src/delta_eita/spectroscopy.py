@@ -82,8 +82,8 @@ class SpectrumTable:
 
     def __post_init__(self):
         d = np.array([p.delta13 for p in self.points])
-        if d.size and np.any(np.diff(d) <= 0.0):
-            raise ValidationError("detuning grid must be strictly increasing")
+        if not (np.all(np.isfinite(d)) and np.all(np.diff(d) > 0.0)):
+            raise ValidationError("detuning grid must be finite and strictly increasing")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -201,7 +201,7 @@ def _sweep_block(drives: DriveSet, dec: Decoherence, block: np.ndarray) -> list[
 
 
 def sweep_detuning(drives: DriveSet, dec: Decoherence, grid) -> SpectrumTable:
-    """Probe sweep over a strictly increasing detuning grid.
+    """Probe sweep over a finite, strictly increasing detuning grid.
 
     The grid is solved in stacked blocks of ``SWEEP_BLOCK`` detunings.
     When a block fails, its points are solved one by one, so the error
@@ -211,8 +211,8 @@ def sweep_detuning(drives: DriveSet, dec: Decoherence, grid) -> SpectrumTable:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValidationError("detuning grid must be a nonempty 1-d sequence")
-    if np.any(np.diff(grid) <= 0.0):
-        raise ValidationError("detuning grid must be strictly increasing")
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)):
+        raise ValidationError("detuning grid must be finite and strictly increasing")
     points = []
     for start in range(0, grid.size, SWEEP_BLOCK):
         block = grid[start:start + SWEEP_BLOCK]

@@ -103,7 +103,8 @@ def _guard(name: str, fn) -> CheckResult:
 # --- steady-state oracle ----------------------------------------------------
 
 def check_steady_vs_longtime() -> CheckResult:
-    """Steady-state solve equals long-time RK4 evolution from I/3."""
+    """Steady-state solve equals the exact propagator exp(L t) applied to
+    I/3 at t = 1000, independent of the LU solve."""
     name = "steady_vs_longtime_evolution"
 
     def body():
@@ -115,8 +116,7 @@ def check_steady_vs_longtime() -> CheckResult:
             lv = build_liouvillian(
                 rotating_hamiltonian(drives.with_probe_detuning(delta)), dec)
             direct = steady_state(lv)
-            dt = 0.5 / max(1.0, np.linalg.norm(lv, np.inf))
-            settled = evolve(lv, maximally_mixed(), 1e3, dt)
+            settled = evolve(lv, maximally_mixed(), 1e3)
             worst = max(worst, float(np.max(np.abs(direct - settled))))
         elapsed = time.perf_counter() - start
         ok = worst <= 1e-8 and elapsed < 10.0
@@ -153,9 +153,9 @@ def check_invariant_suite() -> CheckResult:
         # evolve outputs join the corpus
         decay = Decoherence(gamma12=0.0, gamma13=0.1, gamma23=0.1)
         lv = build_liouvillian(np.zeros((3, 3), dtype=complex), decay)
-        states.append(evolve(lv, level_projector(3), 5.0, 1e-3))
+        states.append(evolve(lv, level_projector(3), 5.0))
         lv = build_liouvillian(rotating_hamiltonian(drives), dec)
-        states.append(evolve(lv, maximally_mixed(), 20.0, 1e-3))
+        states.append(evolve(lv, maximally_mixed(), 20.0))
         worst_tr = 0.0
         worst_h = 0.0
         worst_eig = np.inf

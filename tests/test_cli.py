@@ -53,6 +53,11 @@ class TestParseConfig:
         again = parse_config(dump_config(cfg))
         assert again == cfg
 
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.name)
+    def test_shipped_config_round_trips(self, path):
+        cfg = parse_config(path.read_text(encoding="utf-8"))
+        assert parse_config(dump_config(cfg)) == cfg
+
     def test_unknown_key_rejected(self):
         bad = MINIMAL_EIT.replace("gamma23 = 0.1", "gamma23 = 0.1\ngama13 = 1.0")
         with pytest.raises(ParseError):
@@ -242,24 +247,26 @@ class TestExitCodes:
         cfg = self.write(tmp_path, text)
         assert main(["--config", cfg]) == 3
 
+    @pytest.mark.parametrize("text", [
+        MINIMAL_EIT.replace("lo = -2.0", "lo = -inf"),
+        MINIMAL_EIT.replace("hi = 2.0", "hi = inf"),
+        MINIMAL_EIT.replace("mode = sweep", "mode = evolve") + "\n[evolve]\nt = inf\n",
+        MINIMAL_EIT.replace("mode = sweep", "mode = evolve") + "\n[evolve]\nt = nan\n",
+        MINIMAL_EIT.replace("mode = sweep", "mode = phase-sweep")
+                   .replace("points = 41", "points = 41\nphases = 0.0,nan"),
+        MINIMAL_EIT.replace("mode = sweep", "mode = reflect") + "\n[reflect]\na_in_re = nan\n",
+    ], ids=["lo-inf", "hi-inf", "t-inf", "t-nan", "phases-nan", "a_in-nan"])
+    def test_non_finite_input_is_validation_error(self, tmp_path, text):
+        cfg = self.write(tmp_path, text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
-class TestWorkerResolution:
-    def test_env_var_default(self, monkeypatch):
-        from delta_eita.cli import _resolve_workers
-        from delta_eita.config import parse_config
-        cfg = parse_config(MINIMAL_EIT)
-        monkeypatch.setenv("DELTA_EITA_WORKERS", "3")
-        assert _resolve_workers(cfg, None) == 3
-        monkeypatch.delenv("DELTA_EITA_WORKERS")
-        assert _resolve_workers(cfg, 5) == 5
-
-    def test_config_workers_beat_env(self, monkeypatch):
-        from delta_eita.cli import _resolve_workers
-        from delta_eita.config import parse_config
-        cfg = parse_config(MINIMAL_EIT.replace("[run]\nmode = sweep",
-                                               "[run]\nmode = sweep\nworkers = 2"))
-        monkeypatch.setenv("DELTA_EITA_WORKERS", "7")
-        assert _resolve_workers(cfg, None) == 2
+    @pytest.mark.parametrize("text", [
+        MINIMAL_EIT.replace("mode = sweep", "mode = sweep\nworkers = 2"),
+        MINIMAL_EIT + "\n[evolve]\ndt = 0.001\n",
+    ], ids=["run-workers", "evolve-dt"])
+    def test_removed_keys_are_parse_errors(self, tmp_path, text):
+        assert main(["--config", self.write(tmp_path, text)]) == 1
 
 
 class TestUnitsOverride:

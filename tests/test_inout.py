@@ -129,7 +129,7 @@ class TestTransientReflection:
         rho = ground_state()
         trace = []
         for _ in range(5):
-            rho = evolve(lv, rho, 0.5, 1e-3)
+            rho = evolve(lv, rho, 0.5)
             trace.append(output_amplitude(1.0, stock_dec.gamma13, rho[2, 0]))
         assert all(np.isfinite(a.real) and np.isfinite(a.imag) for a in trace)
         # transient approaches the steady-state value

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -165,10 +163,3 @@ class TestHermitianEig:
         with pytest.raises(NotHermitian):
             numerics.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-
-def test_expm_scaling_keeps_scaled_norm_small(rng):
-    # the scaled matrix must have norm <= 0.5 for the Taylor core to be exact
-    a = rng.normal(size=(5, 5)) + 0j
-    norm = np.linalg.norm(a, np.inf)
-    squarings = int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
-    assert np.linalg.norm(a / 2 ** squarings, np.inf) <= 0.5 + 1e-12

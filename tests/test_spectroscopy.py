@@ -58,8 +58,7 @@ class TestProbeResponse:
         point = probe_response(stock_drives, stock_dec, delta)
         lv = build_liouvillian(
             rotating_hamiltonian(stock_drives.with_probe_detuning(delta)), stock_dec)
-        dt = 0.5 / max(1.0, np.linalg.norm(lv, np.inf))
-        settled = evolve(lv, maximally_mixed(), 1e3, dt)
+        settled = evolve(lv, maximally_mixed(), 1e3)
         assert abs(point.rho31 - settled[2, 0]) <= 1e-8
         assert abs(point.pop1 - settled[0, 0].real) <= 1e-8
 
@@ -78,6 +77,13 @@ class TestSweeps:
     def test_requires_increasing_grid(self, stock_drives, stock_dec):
         with pytest.raises(ValidationError):
             sweep_detuning(stock_drives, stock_dec, [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("grid", [[0.0, np.nan, -1.0], [0.0, np.nan], [np.inf]])
+    def test_non_finite_grid_is_validation_error(self, stock_drives, stock_dec, grid):
+        with pytest.raises(ValidationError):
+            sweep_detuning(stock_drives, stock_dec, grid)
+        with pytest.raises(ValidationError):
+            make_table(grid, np.zeros(len(grid)))
 
     def test_transparency_curve_symmetry(self, stock_dec):
         # no 1-2 drive, real resonant pump: absorption is even in detuning
@@ -189,13 +195,14 @@ class TestStackedSweep:
         assert str(stacked.value) == f"at delta13={grid[0]:g}: {single.value}"
 
     def test_nan_in_second_block_is_named(self, stock_drives, stock_dec):
-        grid = np.append(np.linspace(-4.0, 4.0, 299), np.nan)
+        # a finite failing point: at 1e13 the relative pivot is ~5e-14
+        grid = np.append(np.linspace(-4.0, 4.0, 299), 1e13)
         assert grid.size - 1 >= SWEEP_BLOCK
-        with pytest.raises(ValueError) as single:
-            probe_response(stock_drives, stock_dec, np.nan)
-        with pytest.raises(ValueError) as stacked:
+        with pytest.raises(DegenerateSteadyState) as single:
+            probe_response(stock_drives, stock_dec, 1e13)
+        with pytest.raises(DegenerateSteadyState) as stacked:
             sweep_detuning(stock_drives, stock_dec, grid)
-        assert str(stacked.value) == f"at delta13=nan: {single.value}"
+        assert str(stacked.value) == f"at delta13=1e+13: {single.value}"
 
 
 class TestAnalyticCoherence:
