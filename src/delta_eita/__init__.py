@@ -58,7 +58,6 @@ from .lindblad import (
 )
 from .spectroscopy import (
     PeakReport,
-    SpectrumPoint,
     SpectrumTable,
     analytic_rho31,
     find_peaks,
@@ -93,7 +92,6 @@ __all__ = [
     "ReflectionPoint",
     "SingularDenominator",
     "SingularMatrix",
-    "SpectrumPoint",
     "SpectrumTable",
     "ValidationError",
     "WindowTooNarrow",

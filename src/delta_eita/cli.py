@@ -186,9 +186,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        if args.units is not None:
-            text = _override_units(text, args.units)
-        cfg = parse_config(text)
+        cfg = parse_config(text, units=args.units)
         cfg = with_overrides(cfg, mode=args.mode, out_dir=args.out)
         if args.dump_config:
             print(dump_config(cfg), end="")
@@ -209,29 +207,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
-
-
-def _override_units(text: str, units: str) -> str:
-    """Rewrite (or insert) the [atom] units key before parsing."""
-    lines = text.splitlines()
-    out = []
-    in_atom = False
-    replaced = False
-    for line in lines:
-        stripped = line.strip()
-        if stripped.startswith("["):
-            if in_atom and not replaced:
-                out.append(f"units = {units}")
-                replaced = True
-            in_atom = stripped == "[atom]"
-        elif in_atom and stripped.split("=")[0].strip() == "units":
-            out.append(f"units = {units}")
-            replaced = True
-            continue
-        out.append(line)
-    if in_atom and not replaced:
-        out.append(f"units = {units}")
-    return "\n".join(out)
 
 
 if __name__ == "__main__":

@@ -141,11 +141,12 @@ class _Section:
         return self._finite(key, raw, values)
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, units: str | None = None) -> RunConfig:
     """Parse and validate a config document.
 
-    Unknown sections or keys raise ParseError; non-finite numbers and
-    values breaking model invariants raise ValidationError.
+    ``units``, when given, replaces the ``[atom] units`` value.  Unknown
+    sections or keys raise ParseError; non-finite numbers and values
+    breaking model invariants raise ValidationError.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -180,7 +181,8 @@ def parse_config(text: str) -> RunConfig:
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
 
-    units = atom.getstr("units", "gamma13")
+    if units is None:
+        units = atom.getstr("units", "gamma13")
     if units not in UNITS:
         raise ValidationError(f"units must be one of {UNITS}, got {units!r}")
     scale = 2.0 * np.pi if units == "MHz" else 1.0

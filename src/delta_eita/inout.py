@@ -88,10 +88,10 @@ def reflection_spectrum(drives: DriveSet, dec: Decoherence, a_in: complex, grid,
 def reflection_from_table(table: SpectrumTable, a_in: complex) -> list[ReflectionPoint]:
     """Map an existing sweep through the input-output relation."""
     out = []
-    for p in table.points:
-        a = output_amplitude(a_in, table.dec.gamma13, p.rho31)
+    for delta13, rho31 in zip(table.detunings.tolist(), table.rho31.tolist()):
+        a = output_amplitude(a_in, table.dec.gamma13, rho31)
         out.append(ReflectionPoint(
-            delta13=p.delta13,
+            delta13=delta13,
             a_out=a,
             homodyne_I=homodyne_signal(a, 0.0),
             homodyne_Q=homodyne_signal(a, 0.5 * np.pi),

@@ -1,6 +1,6 @@
 """Dense complex linear-algebra kernels used by the physics modules.
 
-Everything here is domain-free: Kronecker products, a pivoted linear solve
+Everything here is domain-free: a pivoted linear solve
 with explicit singularity detection, the matrix exponential, and
 Hermitian eigendecomposition.  Matrices are plain
 ``numpy.ndarray`` of complex128; the validation helpers enforce the finite-
@@ -50,11 +50,6 @@ def as_complex_vector(b) -> np.ndarray:
     if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
         raise ValueError("vector entries must be finite")
     return v
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two complex matrices."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
 def solve_linear(a, b) -> np.ndarray:

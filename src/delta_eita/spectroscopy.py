@@ -52,49 +52,68 @@ KK_ENDPOINT_FRACTION = 0.05
 SWEEP_BLOCK = 256
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
-    """Steady-state response at one probe detuning."""
-
-    delta13: float
-    rho31: complex
-    pop1: float
-    pop2: float
-    pop3: float
-    inversion: float
-
-    def __post_init__(self):
-        total = self.pop1 + self.pop2 + self.pop3
-        if abs(total - 1.0) > 1e-9:
-            raise ValidationError(f"populations sum to {total}, not 1")
-        for p in (self.pop1, self.pop2, self.pop3):
-            if p < -1e-9 or p > 1.0 + 1e-9:
-                raise ValidationError(f"population {p} outside [0, 1]")
+def _check_grid(grid: np.ndarray) -> None:
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)):
+        raise ValidationError("detuning grid must be finite and strictly increasing")
 
 
-@dataclass(frozen=True)
+def _read_only(values, dtype) -> np.ndarray:
+    column = np.array(values, dtype=dtype)
+    column.setflags(write=False)
+    return column
+
+
+@dataclass(frozen=True, eq=False)
 class SpectrumTable:
-    """Ordered sweep results plus the parameters that produced them."""
+    """Sweep results, one read-only array per column, plus the parameters
+    that produced them.
 
-    points: tuple[SpectrumPoint, ...]
+    ``detunings`` (n,) is the finite, strictly increasing probe grid,
+    ``rho31`` (n,) the reported coherence and ``populations`` (n, 3) the
+    level populations.  Every row's populations must sum to 1 and lie in
+    [0, 1] within 1e-9; the first row that does not raises ValidationError.
+    Two tables are equal when their drives, rates and every column bit
+    agree, i.e. when they write the same CSV.
+    """
+
+    detunings: np.ndarray
+    rho31: np.ndarray
+    populations: np.ndarray
     drives: DriveSet
     dec: Decoherence
 
     def __post_init__(self):
-        d = np.array([p.delta13 for p in self.points])
-        if not (np.all(np.isfinite(d)) and np.all(np.diff(d) > 0.0)):
-            raise ValidationError("detuning grid must be finite and strictly increasing")
+        d = _read_only(self.detunings, float)
+        r = _read_only(self.rho31, complex)
+        p = _read_only(self.populations, float)
+        if d.ndim != 1 or r.shape != d.shape or p.shape != d.shape + (3,):
+            raise ValidationError(
+                f"columns need shapes (n,), (n,) and (n, 3), got "
+                f"{d.shape}, {r.shape} and {p.shape}")
+        total = p[:, 0] + p[:, 1] + p[:, 2]
+        bad_sum = np.abs(total - 1.0) > 1e-9
+        bad_range = (p < -1e-9) | (p > 1.0 + 1e-9)
+        failed = bad_sum | np.any(bad_range, axis=1)
+        if np.any(failed):
+            k = int(np.argmax(failed))
+            if bad_sum[k]:
+                raise ValidationError(f"populations sum to {float(total[k])}, not 1")
+            bad = float(p[k, int(np.argmax(bad_range[k]))])
+            raise ValidationError(f"population {bad} outside [0, 1]")
+        _check_grid(d)
+        object.__setattr__(self, "detunings", d)
+        object.__setattr__(self, "rho31", r)
+        object.__setattr__(self, "populations", p)
+
+    def __eq__(self, other):
+        if not isinstance(other, SpectrumTable):
+            return NotImplemented
+        return (self.drives == other.drives and self.dec == other.dec
+                and all(getattr(self, c).tobytes() == getattr(other, c).tobytes()
+                        for c in ("detunings", "rho31", "populations")))
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def detunings(self) -> np.ndarray:
-        return np.array([p.delta13 for p in self.points])
-
-    @property
-    def rho31(self) -> np.ndarray:
-        return np.array([p.rho31 for p in self.points])
+        return len(self.detunings)
 
     @property
     def absorption(self) -> np.ndarray:
@@ -105,12 +124,8 @@ class SpectrumTable:
         return self.rho31.real
 
     @property
-    def populations(self) -> np.ndarray:
-        return np.array([[p.pop1, p.pop2, p.pop3] for p in self.points])
-
-    @property
     def inversions(self) -> np.ndarray:
-        return np.array([p.inversion for p in self.points])
+        return self.populations[:, 0] - self.populations[:, 2]
 
     @property
     def loop_phase(self) -> float:
@@ -157,8 +172,8 @@ def kramers_kronig_grid() -> np.ndarray:
     return np.linspace(-20.0, 20.0, 4001)
 
 
-def probe_response(drives: DriveSet, dec: Decoherence, delta13: float) -> SpectrumPoint:
-    """Steady-state response at one probe detuning.
+def probe_response(drives: DriveSet, dec: Decoherence, delta13: float) -> SpectrumTable:
+    """Steady-state response at one probe detuning, as a one-row table.
 
     Sets the probe detuning (delta12 re-derives), builds the rotating-frame
     Hamiltonian and Liouvillian, and solves for the steady state.  The
@@ -168,36 +183,40 @@ def probe_response(drives: DriveSet, dec: Decoherence, delta13: float) -> Spectr
     """
     d = drives.with_probe_detuning(delta13)
     rho = steady_state(build_liouvillian(rotating_hamiltonian(d), dec))
-    return _spectrum_point(delta13, rho[2, 0] * np.exp(1j * d.d13.phase), np.diag(rho).real)
+    return SpectrumTable(detunings=[delta13],
+                         rho31=_probe_referenced(rho[None, 2, 0], d.d13.phase),
+                         populations=np.diag(rho).real[None], drives=drives, dec=dec)
 
 
-def _spectrum_point(delta13, rho31, pops) -> SpectrumPoint:
-    """Record one steady state from its reported coherence and populations."""
-    return SpectrumPoint(
-        delta13=float(delta13),
-        rho31=complex(rho31),
-        pop1=float(pops[0]),
-        pop2=float(pops[1]),
-        pop3=float(pops[2]),
-        inversion=float(pops[0] - pops[2]),
-    )
+def _probe_referenced(rho31: np.ndarray, phase: float) -> np.ndarray:
+    """``rho31 * exp(i phase)`` from real and imaginary parts.
+
+    This rounds like numpy's scalar complex multiply, so a stacked row
+    equals its ``probe_response`` row bit for bit; the vectorized complex
+    multiply can differ from it in the last bit.
+    """
+    p = np.exp(1j * phase)
+    out = np.empty(rho31.shape, dtype=complex)
+    out.real = rho31.real * p.real - rho31.imag * p.imag
+    out.imag = rho31.real * p.imag + rho31.imag * p.real
+    return out
 
 
-def _sweep_block(drives: DriveSet, dec: Decoherence, block: np.ndarray) -> list[SpectrumPoint]:
-    """Responses at a block of detunings from one stacked solve.
+def _sweep_block(drives: DriveSet, dec: Decoherence,
+                 block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reported coherences and populations at a block of detunings, from
+    one stacked solve.
 
     Each Hamiltonian in the stack gets the entries ``rotating_hamiltonian``
     gives it at that detuning, by the same floating-point operations, so
-    every point is bit for bit the ``probe_response`` point.
+    every row is bit for bit the ``probe_response`` row.
     """
     h = np.repeat(rotating_hamiltonian(drives)[None], block.size, axis=0)
     h[:, 1, 1] = -(block - drives.d23.detuning)
     h[:, 2, 2] = -block
     rho = steady_state(build_liouvillian(h, dec))
-    probe_phase = np.exp(1j * drives.d13.phase)
-    pops = rho.diagonal(axis1=1, axis2=2).real.tolist()
-    return [_spectrum_point(d, r * probe_phase, p)
-            for d, r, p in zip(block, rho[:, 2, 0], pops)]
+    return (_probe_referenced(rho[:, 2, 0], drives.d13.phase),
+            rho.diagonal(axis1=1, axis2=2).real)
 
 
 def sweep_detuning(drives: DriveSet, dec: Decoherence, grid) -> SpectrumTable:
@@ -211,23 +230,27 @@ def sweep_detuning(drives: DriveSet, dec: Decoherence, grid) -> SpectrumTable:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValidationError("detuning grid must be a nonempty 1-d sequence")
-    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)):
-        raise ValidationError("detuning grid must be finite and strictly increasing")
-    points = []
+    _check_grid(grid)
+    rho31, pops = [], []
     for start in range(0, grid.size, SWEEP_BLOCK):
         block = grid[start:start + SWEEP_BLOCK]
         try:
-            points.extend(_sweep_block(drives, dec, block))
+            r, p = _sweep_block(drives, dec, block)
+        except (DeltaEitaError, ValueError) as exc:
+            block_error = exc
+        else:
+            rho31.append(r)
+            pops.append(p)
             continue
-        except (DeltaEitaError, ValueError):
-            pass  # the block is solved point by point below to locate the failure
         for d in block:
             try:
-                points.append(probe_response(drives, dec, d))
+                probe_response(drives, dec, d)
             except Exception as exc:
                 exc.args = (f"at delta13={d:g}: {exc}",)
                 raise
-    return SpectrumTable(points=tuple(points), drives=drives, dec=dec)
+        raise block_error
+    return SpectrumTable(detunings=grid, rho31=np.concatenate(rho31),
+                         populations=np.concatenate(pops), drives=drives, dec=dec)
 
 
 def sweep_phase(drives: DriveSet, dec: Decoherence, grid, phases) -> list[SpectrumTable]:
@@ -560,9 +583,9 @@ def write_spectrum_csv(table: SpectrumTable, path, extra_metadata: dict | None =
         meta.update(extra_metadata)
     lines = [f"# {key} = {value!r}" for key, value in meta.items()]
     lines.append("delta13,re_rho31,im_rho31,pop1,pop2,pop3,inversion")
-    for p in table.points:
-        lines.append(
-            f"{p.delta13!r},{p.rho31.real!r},{p.rho31.imag!r},"
-            f"{p.pop1!r},{p.pop2!r},{p.pop3!r},{p.inversion!r}")
+    columns = (table.detunings, table.dispersion, table.absorption,
+               *table.populations.T, table.inversions)
+    lines.extend(f"{d!r},{re!r},{im!r},{p1!r},{p2!r},{p3!r},{inv!r}"
+                 for d, re, im, p1, p2, p3, inv in zip(*(c.tolist() for c in columns)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

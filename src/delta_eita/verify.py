@@ -46,7 +46,6 @@ from .lindblad import (
     validate_density_matrix,
 )
 from .spectroscopy import (
-    SpectrumPoint,
     SpectrumTable,
     analytic_rho31,
     find_peaks,
@@ -380,9 +379,9 @@ def _closed_form_error(probe: float) -> tuple[float, float]:
     table = sweep_detuning(reference_drives(omega12=probe, omega13=probe), dec,
                            np.linspace(-2.0, 2.0, 801))
     ana = np.array([
-        analytic_rho31(probe, probe, 1.0, (0.0, 0.0, 0.0), p.delta13,
-                       dec.gamma12, dec.big_gamma3, (p.pop1, p.pop2, p.pop3))
-        for p in table.points])
+        analytic_rho31(probe, probe, 1.0, (0.0, 0.0, 0.0), d,
+                       dec.gamma12, dec.big_gamma3, tuple(pops))
+        for d, pops in zip(table.detunings.tolist(), table.populations.tolist())])
     return (float(np.max(np.abs(ana - table.rho31))),
             float(np.max(np.abs(table.rho31))))
 
@@ -451,12 +450,11 @@ def check_kramers_kronig_lorentzian() -> CheckResult:
         grid = np.linspace(-50.0, 50.0, 4001)
         im = 1.0 / (grid ** 2 + 1.0)
         re = -grid / (grid ** 2 + 1.0)
-        points = tuple(
-            SpectrumPoint(delta13=float(d), rho31=complex(r, i),
-                          pop1=1.0, pop2=0.0, pop3=0.0, inversion=1.0)
-            for d, r, i in zip(grid, re, im))
-        table = SpectrumTable(points=points, drives=reference_drives(),
-                              dec=reference_decoherence())
+        rho31 = np.empty(grid.shape, dtype=complex)
+        rho31.real, rho31.imag = re, im
+        table = SpectrumTable(detunings=grid, rho31=rho31,
+                              populations=np.tile([1.0, 0.0, 0.0], (grid.size, 1)),
+                              drives=reference_drives(), dec=reference_decoherence())
         res = kramers_kronig_residual(table)
         ok = res <= 0.05
         return _result(name, ok, f"residual {res:.5f} (tol 0.05)")
@@ -590,8 +588,10 @@ def check_csv_determinism() -> CheckResult:
         dec = reference_decoherence()
         grid = np.linspace(-4.0, 4.0, 801)
         start = time.perf_counter()
+        rows = [probe_response(drives, dec, d) for d in grid]
         per_point = SpectrumTable(
-            points=tuple(probe_response(drives, dec, d) for d in grid),
+            detunings=grid, rho31=np.concatenate([r.rho31 for r in rows]),
+            populations=np.concatenate([r.populations for r in rows]),
             drives=drives, dec=dec)
         with tempfile.TemporaryDirectory() as tmp:
             single = Path(tmp) / "per_point.csv"

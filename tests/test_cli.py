@@ -6,12 +6,6 @@ import pytest
 from delta_eita import ParseError, ValidationError
 from delta_eita.cli import main
 from delta_eita.config import dump_config, parse_config
-from delta_eita.spectroscopy import (
-    SWEEP_BLOCK,
-    SpectrumTable,
-    probe_response,
-    sweep_detuning,
-)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -98,16 +92,6 @@ class TestParseConfig:
     def test_missing_mode_rejected(self):
         with pytest.raises(ValidationError):
             parse_config(MINIMAL_EIT.replace("[run]\nmode = sweep\n", ""))
-
-
-class TestParallelSweep:
-    def test_matches_serial(self, stock_drives, stock_dec):
-        # the stacked sweep the CLI runs equals independent per-point solves
-        grid = np.linspace(-1.0, 1.0, 2 * SWEEP_BLOCK + 1)
-        serial = SpectrumTable(
-            points=tuple(probe_response(stock_drives, stock_dec, d) for d in grid),
-            drives=stock_drives, dec=stock_dec)
-        assert sweep_detuning(stock_drives, stock_dec, grid) == serial
 
 
 class TestMainModes:
@@ -282,3 +266,13 @@ class TestUnitsOverride:
         cfg_scaled = parse_config(scaled)
         assert cfg_scaled.dec.gamma13 == pytest.approx(
             2.0 * np.pi * cfg_plain.dec.gamma13)
+
+    @pytest.mark.parametrize("spelling", ["UNITS = MHz", "units: MHz"])
+    def test_flag_replaces_any_spelling_of_the_key(self, tmp_path, capsys, spelling):
+        # configparser folds key case and accepts ':', so both name [atom] units
+        path = tmp_path / "run.ini"
+        path.write_text(MINIMAL_EIT.replace("units = gamma13", spelling), encoding="utf-8")
+        for units in ("gamma13", "MHz"):
+            assert main(["--config", str(path), "--units", units, "--dump-config"]) == 0
+            expected = MINIMAL_EIT.replace("units = gamma13", f"units = {units}")
+            assert capsys.readouterr().out == dump_config(parse_config(expected))

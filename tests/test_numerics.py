@@ -9,37 +9,6 @@ def random_complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-class TestKron:
-    def test_identity_case(self):
-        out = numerics.kron(np.eye(2), np.eye(2))
-        np.testing.assert_array_equal(out, np.eye(4))
-
-    def test_scalar_factor(self):
-        out = numerics.kron([[0, 1], [0, 0]], [[2]])
-        np.testing.assert_array_equal(out, [[0, 2], [0, 0]])
-
-    def test_against_double_loop_oracle(self, rng):
-        a = random_complex(rng, (3, 3))
-        b = random_complex(rng, (3, 3))
-        expected = np.zeros((9, 9), dtype=complex)
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    for l in range(3):
-                        expected[i * 3 + k, j * 3 + l] = a[i, j] * b[k, l]
-        np.testing.assert_allclose(numerics.kron(a, b), expected, atol=0)
-
-    def test_associativity(self, rng):
-        a, b, c = (random_complex(rng, (2, 2)) for _ in range(3))
-        left = numerics.kron(numerics.kron(a, b), c)
-        right = numerics.kron(a, numerics.kron(b, c))
-        assert np.max(np.abs(left - right)) <= 1e-12
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            numerics.kron([[np.nan, 0], [0, 1]], np.eye(2))
-
-
 class TestSolveLinear:
     def test_identity(self, rng):
         b = random_complex(rng, 3)

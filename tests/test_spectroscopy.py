@@ -25,18 +25,23 @@ from delta_eita import (
     sweep_phase,
 )
 from delta_eita.lindblad import evolve, maximally_mixed
-from delta_eita.spectroscopy import SWEEP_BLOCK, SpectrumPoint, SpectrumTable
+from delta_eita.spectroscopy import SWEEP_BLOCK, SpectrumTable
 
 
 def make_table(grid, values, drives=None, dec=None):
     """Synthetic table with prescribed rho31 values."""
     drives = drives or DriveSet(Drive(0.2), Drive(0.2), Drive(1.0))
     dec = dec or Decoherence(gamma12=0.1, gamma13=1.0, gamma23=0.1)
-    points = tuple(
-        SpectrumPoint(delta13=float(d), rho31=complex(v), pop1=1.0, pop2=0.0,
-                      pop3=0.0, inversion=1.0)
-        for d, v in zip(grid, values))
-    return SpectrumTable(points=points, drives=drives, dec=dec)
+    populations = np.tile([1.0, 0.0, 0.0], (len(grid), 1))
+    return SpectrumTable(detunings=grid, rho31=values, populations=populations,
+                         drives=drives, dec=dec)
+
+
+def assert_same_table(a, b):
+    """Drives, rates and every column equal bit for bit (signed zeros too)."""
+    assert (a.drives, a.dec) == (b.drives, b.dec)
+    for column in ("detunings", "rho31", "populations"):
+        assert getattr(a, column).tobytes() == getattr(b, column).tobytes(), column
 
 
 class TestProbeResponse:
@@ -45,13 +50,13 @@ class TestProbeResponse:
         drives = DriveSet(Drive(0.0), Drive(0.2), Drive(1.0))
         dec = Decoherence(gamma12=0.0, gamma13=1.0, gamma23=0.1)
         point = probe_response(drives, dec, 0.0)
-        assert abs(point.rho31.imag) <= 1e-12
+        assert abs(point.absorption[0]) <= 1e-12
 
     def test_sandwich_flank_signs(self, stock_drives, stock_dec):
         red = probe_response(stock_drives, stock_dec, -0.5)
         blue = probe_response(stock_drives, stock_dec, +0.3)
-        assert red.rho31.imag > 0.0       # absorption on the red side
-        assert blue.rho31.imag < 0.0      # gain on the blue side
+        assert red.absorption[0] > 0.0    # absorption on the red side
+        assert blue.absorption[0] < 0.0   # gain on the blue side
 
     def test_matches_long_time_evolution(self, stock_drives, stock_dec):
         delta = 0.37
@@ -59,20 +64,20 @@ class TestProbeResponse:
         lv = build_liouvillian(
             rotating_hamiltonian(stock_drives.with_probe_detuning(delta)), stock_dec)
         settled = evolve(lv, maximally_mixed(), 1e3)
-        assert abs(point.rho31 - settled[2, 0]) <= 1e-8
-        assert abs(point.pop1 - settled[0, 0].real) <= 1e-8
+        assert abs(point.rho31[0] - settled[2, 0]) <= 1e-8
+        assert abs(point.populations[0, 0] - settled[0, 0].real) <= 1e-8
 
     def test_zero_probe_magnitude_allowed(self, stock_dec):
         drives = DriveSet(Drive(0.2), Drive(0.0), Drive(1.0))
         point = probe_response(drives, stock_dec, 0.5)
-        assert np.isfinite(point.rho31.real)
-        assert abs(point.rho31) > 0.0     # loop coherence without a probe drive
+        assert np.isfinite(point.dispersion[0])
+        assert abs(point.rho31[0]) > 0.0  # loop coherence without a probe drive
 
 
 class TestSweeps:
     def test_singleton_equals_probe_response(self, stock_drives, stock_dec):
         table = sweep_detuning(stock_drives, stock_dec, [0.25])
-        assert table.points[0] == probe_response(stock_drives, stock_dec, 0.25)
+        assert_same_table(table, probe_response(stock_drives, stock_dec, 0.25))
 
     def test_requires_increasing_grid(self, stock_drives, stock_dec):
         with pytest.raises(ValidationError):
@@ -161,16 +166,28 @@ class TestSweeps:
 
 def per_point_table(drives, dec, grid):
     """The sweep as independent single-point solves: the stacked sweep's reference."""
-    return SpectrumTable(points=tuple(probe_response(drives, dec, d) for d in grid),
+    rows = [probe_response(drives, dec, d) for d in grid]
+    return SpectrumTable(detunings=grid, rho31=np.concatenate([r.rho31 for r in rows]),
+                         populations=np.concatenate([r.populations for r in rows]),
                          drives=drives, dec=dec)
 
 
 class TestStackedSweep:
-    @pytest.mark.parametrize("n", [1, 255, 256, 257, 801])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 2 * SWEEP_BLOCK + 1, 801])
     def test_equals_per_point_table(self, stock_drives, stock_dec, n):
         grid = np.linspace(-4.0, 4.0, n)
-        assert sweep_detuning(stock_drives, stock_dec, grid) == \
-            per_point_table(stock_drives, stock_dec, grid)
+        assert_same_table(sweep_detuning(stock_drives, stock_dec, grid),
+                          per_point_table(stock_drives, stock_dec, grid))
+
+    @pytest.mark.parametrize("phi13", [0.7, -2.9])
+    def test_equals_per_point_with_probe_phase(self, phi13):
+        # phi13 != 0 exercises the reported-coherence multiply, which a
+        # vectorized complex multiply would round differently
+        drives = DriveSet(Drive(0.3, 0.4), Drive(0.2, phi13), Drive(1.2, -1.1, 0.3))
+        dec = Decoherence(gamma12=0.1, gamma13=1.0, gamma23=0.1, gphi2=0.05, gphi3=0.2)
+        grid = np.linspace(-4.0, 4.0, 801)
+        assert_same_table(sweep_detuning(drives, dec, grid),
+                          per_point_table(drives, dec, grid))
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(delta23=st.floats(-1.0, -0.05) | st.floats(0.05, 1.0),
@@ -181,7 +198,8 @@ class TestStackedSweep:
         drives = DriveSet(Drive(0.0, phi12), Drive(0.2, phi13), Drive(1.0, phi23, delta23))
         dec = Decoherence(gamma12=0.1, gamma13=1.0, gamma23=0.1, gphi2=gphi2, gphi3=gphi3)
         grid = np.linspace(-4.0, 4.0, SWEEP_BLOCK + 3)
-        assert sweep_detuning(drives, dec, grid) == per_point_table(drives, dec, grid)
+        assert_same_table(sweep_detuning(drives, dec, grid),
+                          per_point_table(drives, dec, grid))
 
     def test_degenerate_error_names_first_point(self):
         # level 3 disconnected: every point is degenerate, the first one raises
@@ -230,8 +248,8 @@ class TestAnalyticCoherence:
         grid = np.linspace(-2.0, 2.0, 201)
         table = sweep_detuning(stock_drives, stock_dec, grid)
         ana = np.array([
-            analytic_rho31(0.2, 0.2, 1.0, (0.0, 0.0, 0.0), p.delta13, 0.1, 0.55,
-                           (p.pop1, p.pop2, p.pop3)) for p in table.points])
+            analytic_rho31(0.2, 0.2, 1.0, (0.0, 0.0, 0.0), d, 0.1, 0.55, tuple(pops))
+            for d, pops in zip(table.detunings, table.populations)])
         err = np.max(np.abs(ana - table.rho31))
         assert err <= 0.15 * np.max(np.abs(table.rho31))
 
@@ -367,16 +385,49 @@ class TestInversionScan:
         assert lowest == table.inversions[k]
 
 
-class TestSpectrumPointValidation:
+def table_with_row(row, n=5, at=2):
+    """Synthetic table whose row ``at`` has populations ``row``."""
+    table = make_table(np.linspace(-1.0, 1.0, n), np.zeros(n, dtype=complex))
+    pops = table.populations.copy()
+    pops[at] = row
+    return SpectrumTable(table.detunings, table.rho31, pops, table.drives, table.dec)
+
+
+class TestSpectrumTableValidation:
     def test_rejects_bad_population_sum(self):
-        with pytest.raises(ValidationError):
-            SpectrumPoint(delta13=0.0, rho31=0j, pop1=0.6, pop2=0.3, pop3=0.3,
-                          inversion=0.3)
+        with pytest.raises(ValidationError, match=r"^populations sum to 1\.2, not 1$"):
+            table_with_row([0.6, 0.3, 0.3])
 
     def test_rejects_out_of_range_population(self):
-        with pytest.raises(ValidationError):
-            SpectrumPoint(delta13=0.0, rho31=0j, pop1=1.2, pop2=-0.2, pop3=0.0,
-                          inversion=1.2)
+        with pytest.raises(ValidationError, match=r"^population 1\.2 outside \[0, 1\]$"):
+            table_with_row([1.2, -0.2, 0.0])
+
+    def test_first_failing_row_is_reported(self):
+        table = make_table(np.linspace(-1.0, 1.0, 5), np.zeros(5, dtype=complex))
+        pops = table.populations.copy()
+        pops[1] = [0.0, -0.5, 1.5]
+        pops[3] = [0.6, 0.3, 0.3]
+        with pytest.raises(ValidationError, match=r"^population -0\.5 outside"):
+            SpectrumTable(table.detunings, table.rho31, pops, table.drives, table.dec)
+
+    def test_rejects_unequal_lengths(self):
+        table = make_table(np.linspace(-1.0, 1.0, 5), np.zeros(5, dtype=complex))
+        with pytest.raises(ValidationError, match="shapes"):
+            SpectrumTable(table.detunings, table.rho31[:4], table.populations,
+                          table.drives, table.dec)
+
+    def test_columns_are_read_only_copies(self):
+        grid = np.linspace(-1.0, 1.0, 5)
+        table = make_table(grid, np.zeros(5, dtype=complex))
+        assert grid.flags.writeable
+        with pytest.raises(ValueError):
+            table.rho31[0] = 1.0
+
+    def test_equality_is_bitwise(self):
+        grid = np.linspace(-1.0, 1.0, 3)
+        plus = make_table(grid, np.zeros(3, dtype=complex))
+        assert plus == make_table(grid, np.zeros(3, dtype=complex))
+        assert plus != make_table(grid, np.array([0j, complex(-0.0, 0.0), 0j]))
 
 
 class TestTableExtras:
