@@ -12,8 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import verify as verify_mod
-from .config import RunConfig, dump_config, parse_config, with_overrides
+from .config import RunConfig, dump_config, parse_config
 from .errors import (
     DeltaEitaError,
     InsufficientResolution,
@@ -152,7 +151,9 @@ def run(cfg: RunConfig) -> int:
         return 0
 
     if cfg.mode == "verify":
-        results = verify_mod.run_all()
+        from . import verify  # no other mode needs it; importing it takes ~10 ms
+
+        results = verify.run_all()
         failed = 0
         for res in results:
             print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")
@@ -186,8 +187,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        cfg = parse_config(text, units=args.units)
-        cfg = with_overrides(cfg, mode=args.mode, out_dir=args.out)
+        cfg = parse_config(text, units=args.units, mode=args.mode, out_dir=args.out)
         if args.dump_config:
             print(dump_config(cfg), end="")
             return 0

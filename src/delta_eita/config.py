@@ -22,7 +22,6 @@ are always GHz.
 from __future__ import annotations
 
 import configparser
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,12 +140,16 @@ class _Section:
         return self._finite(key, raw, values)
 
 
-def parse_config(text: str, units: str | None = None) -> RunConfig:
+def parse_config(text: str, units: str | None = None, mode: str | None = None,
+                 out_dir: str | None = None) -> RunConfig:
     """Parse and validate a config document.
 
-    ``units``, when given, replaces the ``[atom] units`` value.  Unknown
-    sections or keys raise ParseError; non-finite numbers and values
-    breaking model invariants raise ValidationError.
+    ``units``, ``mode`` and ``out_dir``, when given, replace the
+    ``[atom] units``, ``[run] mode`` and ``[output] dir`` values before
+    anything is validated, so the sections a mode needs are checked for
+    the mode that runs.  Unknown sections or keys raise ParseError;
+    non-finite numbers and values breaking model invariants raise
+    ValidationError.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -175,7 +178,8 @@ def parse_config(text: str, units: str | None = None) -> RunConfig:
     reflect = sec("reflect")
     output = sec("output")
 
-    mode = run.getstr("mode")
+    if mode is None:
+        mode = run.getstr("mode")
     if mode is None:
         raise ValidationError("missing [run] mode")
     if mode not in MODES:
@@ -248,7 +252,9 @@ def parse_config(text: str, units: str | None = None) -> RunConfig:
             f"evolve initial must be one of {INITIAL_STATES}, got {evolve_initial!r}")
 
     fluxonium = None
-    if flx.present() or mode == "fluxonium":
+    if mode == "fluxonium" and not flx.present():
+        raise ValidationError("mode 'fluxonium' needs a [fluxonium] section")
+    if flx.present():
         try:
             fluxonium = FluxoniumParams(
                 ej=flx.getfloat("ej", 9.0),
@@ -280,7 +286,7 @@ def parse_config(text: str, units: str | None = None) -> RunConfig:
         gamma_ref_mhz=gamma_ref_mhz,
         a_in=a_in,
         tie_probe_to_input=tie,
-        out_dir=output.getstr("dir", "out"),
+        out_dir=output.getstr("dir", "out") if out_dir is None else out_dir,
         basename=output.getstr("basename", ""),
     )
 
@@ -326,16 +332,3 @@ def dump_config(cfg: RunConfig) -> str:
     if cfg.basename:
         lines.append(f"basename = {cfg.basename}")
     return "\n".join(lines) + "\n"
-
-
-def with_overrides(cfg: RunConfig, mode: str | None = None,
-                   out_dir: str | None = None) -> RunConfig:
-    """Apply CLI flag overrides to a parsed config."""
-    updates = {}
-    if mode is not None:
-        if mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-        updates["mode"] = mode
-    if out_dir is not None:
-        updates["out_dir"] = out_dir
-    return dataclasses.replace(cfg, **updates) if updates else cfg

@@ -9,11 +9,7 @@ entries contract at the boundary.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.linalg import expm as scipy_expm
 
 from .errors import DimensionMismatch, NotHermitian, SingularMatrix
 
@@ -52,16 +48,48 @@ def as_complex_vector(b) -> np.ndarray:
     return v
 
 
+def _lu_pivots(a: np.ndarray) -> np.ndarray:
+    """Pivot magnitudes ``|U[k, k]|`` of a partially pivoted LU of each
+    member of the stack ``a`` ``(m, n, n)``, as an ``(m, n)`` array.
+
+    Gaussian elimination vectorized over the stack.  The pivot row is the
+    first one with the largest ``|Re| + |Im|`` in its column, the rule of
+    LAPACK's ``izamax``, so the pivots are those of ``zgetrf`` up to
+    rounding.  A zero pivot leaves its column uneliminated, as ``zgetrf``
+    does, so the pivots after it stay finite.
+    """
+    u = a.copy()
+    m, n, _ = u.shape
+    members = np.arange(m)
+    pivots = np.empty((m, n))
+    for k in range(n):
+        col = u[:, k:, k]
+        mag = np.abs(col.real)
+        mag += np.abs(col.imag)
+        p = np.argmax(mag, axis=1)
+        if p.any():
+            p += k
+            u[members, k, k:], u[members, p, k:] = u[members, p, k:], u[members, k, k:]
+        d = u[:, k, k]
+        pivots[:, k] = np.abs(d)
+        # below a zero pivot the column is zero too, so its multipliers are 0
+        l = u[:, k + 1:, k] / np.where(d == 0.0, 1.0, d)[:, None]
+        u[:, k + 1:, k + 1:] -= l[:, :, None] * u[:, None, k, k + 1:]
+    return pivots
+
+
 def solve_linear(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` by pivoted LU, for one matrix or a stack.
 
     ``a`` is ``(n, n)`` or a stack ``(m, n, n)``; the length-n right-hand
     side ``b`` is shared by every member, and ``x`` has shape
-    ``a.shape[:-1]``.  scipy factors each member of a stack on its own, so
-    every member's solution is bit for bit the one it gets alone.
+    ``a.shape[:-1]``.  The solution is numpy's LAPACK ``zgesv``, which
+    factors each member of a stack on its own, so every member's solution
+    is bit for bit the one it gets alone.
 
     Raises SingularMatrix when a member's smallest pivot falls below
-    ``SINGULARITY_THRESHOLD`` relative to its largest entry.  For a stack
+    ``SINGULARITY_THRESHOLD`` relative to its largest entry, checked
+    before the solve on the pivots of :func:`_lu_pivots`.  For a stack
     the message is that of the first such member, as if solved alone.
     """
     a = as_complex_matrix(a, square=True, stack=True)
@@ -69,12 +97,9 @@ def solve_linear(a, b) -> np.ndarray:
     if b.shape[0] != a.shape[-1]:
         raise DimensionMismatch(
             f"rhs length {b.shape[0]} does not match matrix size {a.shape[-1]}")
-    with warnings.catch_warnings():
-        # exact-singular input announces itself via the pivot check below
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(a, check_finite=False)
-    scale = np.max(np.abs(a), axis=(-2, -1)).reshape(-1)
-    pivots = np.min(np.abs(np.diagonal(lu, axis1=-2, axis2=-1)), axis=-1).reshape(-1)
+    stack = a.reshape((-1,) + a.shape[-2:])
+    scale = np.max(np.abs(stack), axis=(-2, -1))
+    pivots = np.min(_lu_pivots(stack), axis=-1)
     singular = (scale == 0.0) | (pivots < SINGULARITY_THRESHOLD * scale)
     if np.any(singular):
         k = int(np.argmax(singular))
@@ -83,15 +108,22 @@ def solve_linear(a, b) -> np.ndarray:
         raise SingularMatrix(
             f"relative pivot {pivots[k] / scale[k]:.3e} below "
             f"{SINGULARITY_THRESHOLD:.0e}")
-    return lu_solve((lu, piv), b[:, None], check_finite=False)[..., 0]
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        # an exactly zero pivot in zgesv's own factorization
+        raise SingularMatrix(str(exc)) from exc
 
 
 def expm(a) -> np.ndarray:
     """Matrix exponential of a finite square matrix.
 
     scipy's scaling-and-squaring Pade algorithm (Al-Mohy & Higham, SIAM
-    J. Matrix Anal. Appl. 31, 970 (2009)).
+    J. Matrix Anal. Appl. 31, 970 (2009)).  scipy is imported here, on
+    first use, so that runs which never exponentiate never load it.
     """
+    from scipy.linalg import expm as scipy_expm
+
     return scipy_expm(as_complex_matrix(a, square=True))
 
 

@@ -534,7 +534,15 @@ def kramers_kronig_residual(table: SpectrumTable) -> float:
 
 
 def population_inversion_scan(table: SpectrumTable) -> tuple[float, float]:
-    """Minimum of pop1 - pop3 over the sweep and the detuning where it occurs."""
+    """Minimum of pop1 - pop3 over the sweep and the detuning where it occurs.
+
+    An exact tie goes to the first (lowest) detuning.  On a spectrum
+    that is mirror-symmetric in delta13 (loop phase pi/2 or 3pi/2 at the
+    stock drives) the minimum sits at +-delta with values equal to the
+    last bit, so last-bit rounding of the steady-state solve decides
+    which sign is reported: ``configs/phase_scan.ini`` at 3pi/2 gives
+    0.7781771195156512 at both -0.38 and +0.38.
+    """
     if len(table) == 0:
         raise ValidationError("empty spectrum table")
     inv = table.inversions

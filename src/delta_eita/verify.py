@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .atom import Decoherence, Drive, DriveSet, rotating_hamiltonian
 from .errors import DeltaEitaError
@@ -467,6 +466,8 @@ def check_kramers_kronig_lorentzian() -> CheckResult:
 def realspace_levels(p: FluxoniumParams, flux: float, npts: int = 2048,
                      halfspan: float = 6.0 * np.pi) -> tuple[float, float]:
     """Independent device levels from a finite-difference phase grid."""
+    from scipy.linalg import eigh_tridiagonal
+
     x = np.linspace(2.0 * np.pi * flux - halfspan, 2.0 * np.pi * flux + halfspan, npts)
     dx = x[1] - x[0]
     pot = -p.ej * np.cos(x) + 0.5 * p.el * (x - 2.0 * np.pi * flux) ** 2

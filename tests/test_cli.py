@@ -90,8 +90,10 @@ class TestParseConfig:
         assert cfg.grid_lo == pytest.approx(-2.0 * 2.0 * np.pi)
 
     def test_missing_mode_rejected(self):
+        without = MINIMAL_EIT.replace("[run]\nmode = sweep\n", "")
         with pytest.raises(ValidationError):
-            parse_config(MINIMAL_EIT.replace("[run]\nmode = sweep\n", ""))
+            parse_config(without)
+        assert parse_config(without, mode="steady").mode == "steady"
 
 
 class TestMainModes:
@@ -243,6 +245,17 @@ class TestExitCodes:
     def test_non_finite_input_is_validation_error(self, tmp_path, text):
         cfg = self.write(tmp_path, text)
         assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, mode, message", [
+        ("fluxonium", "sweep", "mode 'sweep' needs [atom] and all three [drives.*] sections"),
+        ("eita", "fluxonium", "mode 'fluxonium' needs a [fluxonium] section"),
+    ], ids=["fluxonium-as-sweep", "eita-as-fluxonium"])
+    def test_mode_override_checks_its_sections(self, tmp_path, capsys, config, mode, message):
+        argv = ["--config", str(CONFIG_DIR / f"{config}.ini"), "--mode", mode,
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", [

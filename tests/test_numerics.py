@@ -1,12 +1,37 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from delta_eita import DimensionMismatch, NotHermitian, SingularMatrix
-from delta_eita import numerics
+from delta_eita import numerics, sweep_detuning
+from delta_eita.config import parse_config
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+EPS = np.finfo(float).eps
 
 
 def random_complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.fixture(scope="module")
+def stock_sweep_systems():
+    """Every ``(stack, rhs)`` the stock ``configs/eita.ini`` sweep solves."""
+    cfg = parse_config((CONFIG_DIR / "eita.ini").read_text(encoding="utf-8"))
+    systems = []
+    solve = numerics.solve_linear
+
+    def spy(a, b):
+        systems.append((np.array(a), np.array(b)))
+        return solve(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "solve_linear", spy)
+        sweep_detuning(cfg.drives, cfg.dec, cfg.grid())
+    assert sum(len(a) for a, _ in systems) == cfg.grid_points
+    return systems
 
 
 class TestSolveLinear:
@@ -59,6 +84,58 @@ class TestSolveLinear:
             numerics.solve_linear(np.eye(3), [1.0, 2.0])
         with pytest.raises(DimensionMismatch):
             numerics.solve_linear(np.ones((2, 3)), [1.0, 2.0])
+
+    def test_relative_pivot_gate(self):
+        b = np.ones(9)
+        passes = np.diag([1.0] * 8 + [2e-12])
+        np.testing.assert_array_equal(numerics.solve_linear(passes, b), b / np.diag(passes))
+        fails = np.diag([1.0] * 8 + [5e-13])
+        message = "^relative pivot 5.000e-13 below 1e-12$"
+        with pytest.raises(SingularMatrix, match=message):
+            numerics.solve_linear(fails, b)
+        with pytest.raises(SingularMatrix, match=message):
+            numerics.solve_linear(np.stack([passes, fails, np.zeros((9, 9))]), b)
+
+
+def assert_pivots_match_lu_factor(stack):
+    """|U[k, k]| agree with scipy's zgetrf within 1e-14 of each member's
+    largest entry, the scale the singularity gate compares them with."""
+    lu, _ = lu_factor(stack, check_finite=False)
+    expected = np.abs(np.diagonal(lu, axis1=-2, axis2=-1))
+    scale = np.max(np.abs(stack), axis=(-2, -1))[:, None]
+    assert np.max(np.abs(numerics._lu_pivots(stack) - expected) / scale) <= 1e-14
+
+
+class TestSolveLinearAgainstScipy:
+    """scipy's ``lu_factor``/``lu_solve`` as a test-only oracle."""
+
+    def test_pivots_on_random_stacks(self, rng):
+        assert_pivots_match_lu_factor(random_complex(rng, (500, 9, 9)))
+        assert_pivots_match_lu_factor(random_complex(rng, (50, 4, 4)))
+
+    def test_pivots_on_stock_sweep(self, stock_sweep_systems):
+        for stack, _ in stock_sweep_systems:
+            assert_pivots_match_lu_factor(stack)
+
+    def test_solutions_on_stock_sweep(self, stock_sweep_systems):
+        # numpy's zgesv and scipy's zgetrf + zgetrs round differently in the
+        # last bit; the bound is 4 eps of each member's largest entry
+        for stack, b in stock_sweep_systems:
+            expected = lu_solve(lu_factor(stack, check_finite=False), b[:, None],
+                                check_finite=False)[..., 0]
+            got = numerics.solve_linear(stack, b)
+            size = np.max(np.abs(expected), axis=-1)
+            assert np.all(np.max(np.abs(got - expected), axis=-1) <= 4.0 * EPS * size)
+
+    @pytest.mark.parametrize("first, second, pivots", [
+        (1 + 1j, 2.0, [np.sqrt(2.0), 1.0]),
+        (2.0, 1 + 1j, [2.0, 1.0]),
+    ], ids=["complex-first", "real-first"])
+    def test_exact_tie_picks_the_first_row(self, first, second, pivots):
+        # |Re| + |Im| is 2 in both rows of column 0; |.| is not
+        a = np.array([[first, 0.0], [second, 1.0]], dtype=complex)[None]
+        np.testing.assert_allclose(numerics._lu_pivots(a)[0], pivots, rtol=1e-15)
+        assert_pivots_match_lu_factor(a)
 
 
 def taylor_expm_oracle(a, terms=60):

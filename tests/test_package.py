@@ -1,7 +1,53 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import delta_eita
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_export_resolves():
     missing = [name for name in delta_eita.__all__ if not hasattr(delta_eita, name)]
     assert missing == []
     assert len(set(delta_eita.__all__)) == len(delta_eita.__all__)
+
+
+def _fresh_cli_run(tmp_path, argv):
+    """Run ``cli.main(argv)`` (no run for ``None``) in a fresh interpreter;
+    return its exit status, whether scipy got imported, and its stdout."""
+    code = ("import sys\n"
+            "import delta_eita.cli\n"
+            f"rc = 0 if {argv!r} is None else delta_eita.cli.main({argv!r})\n"
+            "print(rc, 'scipy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *lines, last = proc.stdout.splitlines()
+    rc, loaded = last.split()
+    return int(rc), loaded == "True", lines
+
+
+@pytest.mark.parametrize("config", [None, "eita", "fluxonium"],
+                         ids=["import", "eita-sweep", "fluxonium"])
+def test_start_up_path_does_not_import_scipy(tmp_path, config):
+    argv = None if config is None else [
+        "--config", str(ROOT / "configs" / f"{config}.ini"), "--out", str(tmp_path)]
+    assert _fresh_cli_run(tmp_path, argv)[:2] == (0, False)
+
+
+@pytest.mark.parametrize("mode, rc, last_line", [
+    ("evolve", 0, "evolve t=10 initial=ground"),
+    ("verify", 3, "verify: 16/17 checks passed"),
+])
+def test_modes_that_need_scipy_import_it_on_use(tmp_path, mode, rc, last_line):
+    argv = ["--config", str(ROOT / "configs" / "eita.ini"), "--mode", mode,
+            "--out", str(tmp_path)]
+    got_rc, loaded, lines = _fresh_cli_run(tmp_path, argv)
+    assert (got_rc, loaded) == (rc, True)
+    assert lines[-1].startswith(last_line)
