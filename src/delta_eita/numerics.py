@@ -9,6 +9,12 @@ entries contract at the boundary.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import importlib.machinery
+import importlib.util
+import os
+
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, SingularMatrix
@@ -48,34 +54,29 @@ def as_complex_vector(b) -> np.ndarray:
     return v
 
 
-def _lu_pivots(a: np.ndarray) -> np.ndarray:
-    """Pivot magnitudes ``|U[k, k]|`` of a partially pivoted LU of each
-    member of the stack ``a`` ``(m, n, n)``, as an ``(m, n)`` array.
+@functools.cache
+def _getrf_getrs():
+    """LAPACK's ``zgetrf`` and ``zgetrs`` as ctypes functions.
 
-    Gaussian elimination vectorized over the stack.  The pivot row is the
-    first one with the largest ``|Re| + |Im|`` in its column, the rule of
-    LAPACK's ``izamax``, so the pivots are those of ``zgetrf`` up to
-    rounding.  A zero pivot leaves its column uneliminated, as ``zgetrf``
-    does, so the pivots after it stay finite.
+    They are taken from the LAPACK that scipy's wrappers
+    (``scipy.linalg._flapack``) link against, so they are the routines
+    behind ``scipy.linalg.lu_factor`` and ``lu_solve``, and the solutions
+    are theirs bit for bit.  The extension is opened as a shared library,
+    not imported, so the scipy package (~0.3 s of imports) is never loaded.
     """
-    u = a.copy()
-    m, n, _ = u.shape
-    members = np.arange(m)
-    pivots = np.empty((m, n))
-    for k in range(n):
-        col = u[:, k:, k]
-        mag = np.abs(col.real)
-        mag += np.abs(col.imag)
-        p = np.argmax(mag, axis=1)
-        if p.any():
-            p += k
-            u[members, k, k:], u[members, p, k:] = u[members, p, k:], u[members, k, k:]
-        d = u[:, k, k]
-        pivots[:, k] = np.abs(d)
-        # below a zero pivot the column is zero too, so its multipliers are 0
-        l = u[:, k + 1:, k] / np.where(d == 0.0, 1.0, d)[:, None]
-        u[:, k + 1:, k + 1:] -= l[:, :, None] * u[:, None, k, k + 1:]
-    return pivots
+    linalg = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                          "linalg")
+    paths = [os.path.join(linalg, "_flapack" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    lib = ctypes.CDLL(next(path for path in paths if os.path.exists(path)))
+    # scipy's wheels bundle an OpenBLAS whose symbols carry a "scipy_" prefix
+    prefix = "scipy_" if hasattr(lib, "scipy_zgetrf_") else ""
+    getrf, getrs = getattr(lib, prefix + "zgetrf_"), getattr(lib, prefix + "zgetrs_")
+    getrf.argtypes = [ctypes.c_void_p] * 6
+    # the trailing size_t is the hidden Fortran length of the trans string
+    getrs.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 8 + [ctypes.c_size_t]
+    getrf.restype = getrs.restype = None
+    return getrf, getrs
 
 
 def solve_linear(a, b) -> np.ndarray:
@@ -83,14 +84,15 @@ def solve_linear(a, b) -> np.ndarray:
 
     ``a`` is ``(n, n)`` or a stack ``(m, n, n)``; the length-n right-hand
     side ``b`` is shared by every member, and ``x`` has shape
-    ``a.shape[:-1]``.  The solution is numpy's LAPACK ``zgesv``, which
-    factors each member of a stack on its own, so every member's solution
+    ``a.shape[:-1]``.  Each member is factored by LAPACK's ``zgetrf`` and
+    solved by ``zgetrs`` on its own, exactly as scipy's ``lu_factor`` and
+    ``lu_solve`` do (see :func:`_getrf_getrs`), so every member's solution
     is bit for bit the one it gets alone.
 
     Raises SingularMatrix when a member's smallest pivot falls below
-    ``SINGULARITY_THRESHOLD`` relative to its largest entry, checked
-    before the solve on the pivots of :func:`_lu_pivots`.  For a stack
-    the message is that of the first such member, as if solved alone.
+    ``SINGULARITY_THRESHOLD`` relative to its largest entry; no member is
+    solved then.  For a stack the message is that of the first such
+    member, as if solved alone.
     """
     a = as_complex_matrix(a, square=True, stack=True)
     b = as_complex_vector(b)
@@ -98,8 +100,23 @@ def solve_linear(a, b) -> np.ndarray:
         raise DimensionMismatch(
             f"rhs length {b.shape[0]} does not match matrix size {a.shape[-1]}")
     stack = a.reshape((-1,) + a.shape[-2:])
+    m, n, _ = stack.shape
+    getrf, getrs = _getrf_getrs()
+    # LAPACK is column-major: lu[k] holds member k transposed, a fresh copy
+    lu = np.array(np.swapaxes(stack, -1, -2), order="C")
+    piv = np.empty((m, n), dtype=np.int32)
+    x = np.empty((m, n), dtype=complex)
+    x[...] = b
+    ints = np.array([n, 1, 0], dtype=np.int32)  # n, nrhs, info
+    n_ptr, one_ptr, info_ptr = (ints.ctypes.data + ints.itemsize * i for i in range(3))
+    # the address of each member; an empty stack has stride 0
+    lu_k, piv_k, x_k = (range(arr.ctypes.data, arr.ctypes.data + arr.nbytes,
+                              max(arr.strides[0], 1)) for arr in (lu, piv, x))
+    for lu_ptr, piv_ptr in zip(lu_k, piv_k):
+        # an exactly zero pivot (info > 0) is left to the gate below
+        getrf(n_ptr, n_ptr, lu_ptr, n_ptr, piv_ptr, info_ptr)
     scale = np.max(np.abs(stack), axis=(-2, -1))
-    pivots = np.min(_lu_pivots(stack), axis=-1)
+    pivots = np.min(np.abs(np.diagonal(lu, axis1=-2, axis2=-1)), axis=-1)
     singular = (scale == 0.0) | (pivots < SINGULARITY_THRESHOLD * scale)
     if np.any(singular):
         k = int(np.argmax(singular))
@@ -108,11 +125,9 @@ def solve_linear(a, b) -> np.ndarray:
         raise SingularMatrix(
             f"relative pivot {pivots[k] / scale[k]:.3e} below "
             f"{SINGULARITY_THRESHOLD:.0e}")
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        # an exactly zero pivot in zgesv's own factorization
-        raise SingularMatrix(str(exc)) from exc
+    for lu_ptr, piv_ptr, x_ptr in zip(lu_k, piv_k, x_k):
+        getrs(b"N", n_ptr, one_ptr, lu_ptr, n_ptr, piv_ptr, x_ptr, n_ptr, info_ptr, 1)
+    return x.reshape(a.shape[:-1])
 
 
 def expm(a) -> np.ndarray:
