@@ -42,7 +42,7 @@ from .fluxonium import (
     spectrum_at,
 )
 from .inout import (
-    ReflectionPoint,
+    ReflectionTable,
     homodyne_signal,
     output_amplitude,
     reflection_spectrum,
@@ -89,7 +89,7 @@ __all__ = [
     "NotHermitian",
     "ParseError",
     "PeakReport",
-    "ReflectionPoint",
+    "ReflectionTable",
     "SingularDenominator",
     "SingularMatrix",
     "SpectrumTable",

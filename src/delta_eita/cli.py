@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, dump_config, parse_config
+from .csvout import write_csv
 from .errors import (
     DeltaEitaError,
     InsufficientResolution,
@@ -27,7 +28,7 @@ from .fluxonium import (
     spectrum_at,
     write_fluxonium_csv,
 )
-from .inout import reflection_from_table, write_reflection_csv
+from .inout import reflection_spectrum, write_reflection_csv
 from .lindblad import (
     build_liouvillian,
     evolve,
@@ -36,7 +37,7 @@ from .lindblad import (
     maximally_mixed,
     steady_state,
 )
-from .atom import global_phase, rotating_hamiltonian
+from .atom import rotating_hamiltonian
 from .errors import NoSignChange
 from .spectroscopy import (
     SpectrumTable,
@@ -90,10 +91,14 @@ def run(cfg: RunConfig) -> int:
         return 0
 
     if cfg.mode == "phase-sweep":
-        for phi in cfg.phases:
+        labels = [f"_phi{phi:.4f}" for phi in cfg.phases]
+        clash = next((label for label in labels if labels.count(label) > 1), None)
+        if clash:
+            raise ValidationError(f"two phases would write one CSV, {clash}")
+        for phi, label in zip(cfg.phases, labels):
             drives = cfg.drives.with_loop_phase(phi)
             table = sweep_detuning(drives, cfg.dec, cfg.grid())
-            path = _out_path(cfg, "phase_sweep", f"_phi{phi:.4f}")
+            path = _out_path(cfg, "phase_sweep", label)
             write_spectrum_csv(table, path, {"units": cfg.units})
             print(f"phase-sweep phi={phi:.4f} n={len(table)} "
                   f"{_summarize_sweep(table, path)}")
@@ -103,16 +108,15 @@ def run(cfg: RunConfig) -> int:
         lv = build_liouvillian(rotating_hamiltonian(cfg.drives), cfg.dec)
         rho = {"ground": ground_state(), "mixed": maximally_mixed(),
                "excited": level_projector(3)}[cfg.evolve_initial]
-        lines = ["t,pop1,pop2,pop3,re_rho31,im_rho31"]
-        for t in np.linspace(0.0, cfg.evolve_t, 201):
-            current = evolve(lv, rho, t)
-            pops = np.diag(current).real
-            row = (t, pops[0], pops[1], pops[2], current[2, 0].real, current[2, 0].imag)
-            lines.append(",".join(repr(float(v)) for v in row))
+        times = np.linspace(0.0, cfg.evolve_t, 201)
+        states = np.array([evolve(lv, rho, t) for t in times])
+        pops = states.diagonal(axis1=1, axis2=2).real
         path = _out_path(cfg, "evolve")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_csv(path, ("t", "pop1", "pop2", "pop3", "re_rho31", "im_rho31"),
+                  (times, *pops.T, states[:, 2, 0].real, states[:, 2, 0].imag))
+        p1, p2, p3 = pops[-1]
         print(f"evolve t={cfg.evolve_t:g} initial={cfg.evolve_initial} "
-              f"pops=({pops[0]:.6g},{pops[1]:.6g},{pops[2]:.6g}) csv={path}")
+              f"pops=({p1:.6g},{p2:.6g},{p3:.6g}) csv={path}")
         return 0
 
     if cfg.mode == "fluxonium":
@@ -135,19 +139,15 @@ def run(cfg: RunConfig) -> int:
         return 0
 
     if cfg.mode == "reflect":
-        drives = cfg.drives
-        if cfg.tie_probe_to_input:
-            drives = drives.with_probe_magnitude(
-                2.0 * np.sqrt(cfg.dec.gamma13) * abs(cfg.a_in))
-        table = sweep_detuning(drives, cfg.dec, cfg.grid())
-        points = reflection_from_table(table, cfg.a_in)
+        reflection = reflection_spectrum(cfg.drives, cfg.dec, cfg.a_in, cfg.grid(),
+                                         tie_probe_to_input=cfg.tie_probe_to_input)
         path = _out_path(cfg, "reflect")
-        write_reflection_csv(points, path, {
+        write_reflection_csv(reflection, path, {
             "a_in": cfg.a_in, "gamma13": cfg.dec.gamma13,
-            "loop_phase": global_phase(drives), "units": cfg.units,
+            "loop_phase": reflection.table.loop_phase, "units": cfg.units,
         })
-        edge = max(abs(points[0].a_out - cfg.a_in), abs(points[-1].a_out - cfg.a_in))
-        print(f"reflect n={len(points)} edge_|aout-ain|={edge:.4g} csv={path}")
+        edge = max(abs(a - cfg.a_in) for a in reflection.a_out[[0, -1]].tolist())
+        print(f"reflect n={len(reflection.a_out)} edge_|aout-ain|={edge:.4g} csv={path}")
         return 0
 
     if cfg.mode == "verify":

@@ -28,6 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numerics
+from .csvout import write_csv
 from .errors import BasisTooSmall, NoSignChange
 
 #: Convergence demanded of the lowest three eigenvalues when the basis
@@ -242,11 +243,6 @@ def write_fluxonium_csv(spectra, path, p: FluxoniumParams,
     Columns: flux, w1, w2 (GHz, relative to ground), t12, t13, t23.
     """
     meta = {"ej": p.ej, "ec": p.ec, "el": p.el, "basis_size": p.basis_size}
-    if extra_metadata:
-        meta.update(extra_metadata)
-    lines = [f"# {key} = {value!r}" for key, value in meta.items()]
-    lines.append("flux,w1,w2,t12,t13,t23")
-    for s in spectra:
-        lines.append(f"{s.flux!r},{s.w10!r},{s.w20!r},{s.t12!r},{s.t13!r},{s.t23!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [(s.flux, s.w10, s.w20, s.t12, s.t13, s.t23) for s in spectra]
+    write_csv(path, ("flux", "w1", "w2", "t12", "t13", "t23"), np.array(rows).T,
+              meta | (extra_metadata or {}))

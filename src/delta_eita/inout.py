@@ -9,6 +9,11 @@ output field centered at the probe frequency is
 homodyne detector mixing the output with a local oscillator of phase
 ``theta`` reads out Re(<a_out> exp(-i theta)).
 
+A sweep maps to one ``ReflectionTable``: its ``SpectrumTable`` and a
+read-only ``a_out`` column, from which the I/Q quadratures are derived.
+Both relations take a scalar or a column and compute from real and
+imaginary parts, so each element is its scalar result bit for bit.
+
 The relation between the probe Rabi magnitude and the input photon-flux
 amplitude is a hardware calibration, not fixed here: by default both are
 independent inputs, and ``tie_probe_to_input=True`` opts into the
@@ -23,6 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atom import Decoherence, DriveSet, LevelFrequencies
+from .csvout import write_csv
+from .numerics import scale_complex
 from .spectroscopy import SpectrumTable, sweep_detuning
 
 #: Quasi-monochromatic validity: transition frequencies must be separated
@@ -30,26 +37,33 @@ from .spectroscopy import SpectrumTable, sweep_detuning
 SEPARATION_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
-class ReflectionPoint:
-    """Reflected mean field and both homodyne quadratures at one detuning."""
+@dataclass(frozen=True, eq=False)
+class ReflectionTable:
+    """Reflected mean field over a sweep: the read-only column ``a_out``
+    (n,) at the detunings of ``table``, and the quadratures derived from it."""
 
-    delta13: float
-    a_out: complex
-    homodyne_I: float
-    homodyne_Q: float
+    table: SpectrumTable
+    a_out: np.ndarray
+
+    @property
+    def homodyne_I(self) -> np.ndarray:
+        return homodyne_signal(self.a_out, 0.0)
+
+    @property
+    def homodyne_Q(self) -> np.ndarray:
+        return homodyne_signal(self.a_out, 0.5 * np.pi)
 
 
-def output_amplitude(a_in: complex, gamma13: float, rho31: complex) -> complex:
-    """Mean output field a_in + sqrt(gamma13) * rho31."""
+def output_amplitude(a_in: complex, gamma13: float, rho31):
+    """Mean output field a_in + sqrt(gamma13) * rho31, scalar or column."""
     if gamma13 < 0.0:
         raise ValueError(f"gamma13 must be >= 0, got {gamma13}")
-    return complex(complex(a_in) + np.sqrt(gamma13) * complex(rho31))
+    return scale_complex(rho31, np.sqrt(gamma13)) + complex(a_in)
 
 
-def homodyne_signal(a_out: complex, lo_phase: float) -> float:
-    """Quadrature Re(a_out * exp(-i lo_phase)) selected by the LO phase."""
-    return float((complex(a_out) * np.exp(-1j * lo_phase)).real)
+def homodyne_signal(a_out, lo_phase: float):
+    """Quadrature Re(a_out * exp(-i lo_phase)), scalar or column."""
+    return scale_complex(a_out, np.exp(-1j * lo_phase)).real
 
 
 def check_mode_separation(levels: LevelFrequencies, dec: Decoherence) -> None:
@@ -70,7 +84,7 @@ def check_mode_separation(levels: LevelFrequencies, dec: Decoherence) -> None:
 
 def reflection_spectrum(drives: DriveSet, dec: Decoherence, a_in: complex, grid,
                         levels: LevelFrequencies | None = None,
-                        tie_probe_to_input: bool = False) -> list[ReflectionPoint]:
+                        tie_probe_to_input: bool = False) -> ReflectionTable:
     """Reflected-field sweep: steady-state solve composed with the
     input-output relation and both quadratures.
 
@@ -85,32 +99,19 @@ def reflection_spectrum(drives: DriveSet, dec: Decoherence, a_in: complex, grid,
     return reflection_from_table(table, a_in)
 
 
-def reflection_from_table(table: SpectrumTable, a_in: complex) -> list[ReflectionPoint]:
+def reflection_from_table(table: SpectrumTable, a_in: complex) -> ReflectionTable:
     """Map an existing sweep through the input-output relation."""
-    out = []
-    for delta13, rho31 in zip(table.detunings.tolist(), table.rho31.tolist()):
-        a = output_amplitude(a_in, table.dec.gamma13, rho31)
-        out.append(ReflectionPoint(
-            delta13=delta13,
-            a_out=a,
-            homodyne_I=homodyne_signal(a, 0.0),
-            homodyne_Q=homodyne_signal(a, 0.5 * np.pi),
-        ))
-    return out
+    a_out = output_amplitude(a_in, table.dec.gamma13, table.rho31)
+    a_out.setflags(write=False)
+    return ReflectionTable(table, a_out)
 
 
-def write_reflection_csv(points, path, extra_metadata: dict | None = None) -> None:
-    """Write reflection points as CSV with a ``#`` metadata preamble.
+def write_reflection_csv(reflection: ReflectionTable, path, extra_metadata=None) -> None:
+    """Write a reflection sweep as CSV with a ``#`` metadata preamble.
 
     Columns: delta13, re_aout, im_aout, homodyne_I, homodyne_Q.
     """
-    lines = []
-    if extra_metadata:
-        lines.extend(f"# {key} = {value!r}" for key, value in extra_metadata.items())
-    lines.append("delta13,re_aout,im_aout,homodyne_I,homodyne_Q")
-    for p in points:
-        lines.append(
-            f"{p.delta13!r},{p.a_out.real!r},{p.a_out.imag!r},"
-            f"{p.homodyne_I!r},{p.homodyne_Q!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ("delta13", "re_aout", "im_aout", "homodyne_I", "homodyne_Q"),
+              (reflection.table.detunings, reflection.a_out.real, reflection.a_out.imag,
+               reflection.homodyne_I, reflection.homodyne_Q),
+              extra_metadata)

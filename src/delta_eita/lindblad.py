@@ -86,7 +86,7 @@ def dissipator_superop(c) -> np.ndarray:
     Under column stacking this is
     conj(c) kron c - (I kron c^dag c + (c^dag c)^T kron I) / 2.
     """
-    c = numerics.as_complex_matrix(c, square=True)
+    c = numerics.as_complex_matrix(c)
     if c.shape != (DIM, DIM):
         raise DimensionMismatch(f"expected 3x3 collapse operator, got {c.shape}")
     cdc = c.conj().T @ c
@@ -113,7 +113,7 @@ def build_liouvillian(h, dec: Decoherence) -> np.ndarray:
     matrix annihilates the trace from the left by construction
     (vec(I)^H L = 0).
     """
-    h = numerics.as_complex_matrix(h, square=True, stack=True)
+    h = numerics.as_complex_matrix(h, stack=True)
     if h.shape[-2:] != (DIM, DIM):
         raise DimensionMismatch(f"expected 3x3 Hamiltonian, got {h.shape}")
     ht = np.swapaxes(h, -1, -2)
@@ -139,7 +139,7 @@ def validate_density_matrix(rho, trace_tol: float = DENSITY_TRACE_TOL,
     member.  Raises InvariantViolation when any bound is broken; for a
     stack the message is that of the first failing member.
     """
-    rho = numerics.as_complex_matrix(rho, square=True, stack=True)
+    rho = numerics.as_complex_matrix(rho, stack=True)
     if rho.shape[-2:] != (DIM, DIM):
         raise DimensionMismatch(f"expected 3x3 density matrix, got {rho.shape}")
     adjoint = np.swapaxes(rho, -1, -2).conj()
@@ -172,7 +172,7 @@ def steady_state(lv) -> np.ndarray:
     alone.  The checks run in the same order as for one matrix; each
     raises with the message of its first failing member.
     """
-    lv = numerics.as_complex_matrix(lv, square=True, stack=True)
+    lv = numerics.as_complex_matrix(lv, stack=True)
     if lv.shape[-2:] != (DIM * DIM, DIM * DIM):
         raise DimensionMismatch(f"expected 9x9 Liouvillian, got {lv.shape}")
     a = lv.copy()
@@ -211,7 +211,7 @@ def evolve(lv, rho0, t: float) -> np.ndarray:
     re-Hermitized and validated with the propagation gates (trace drift
     <= 1e-8, eigenvalues >= -1e-6); violations raise InvariantViolation.
     """
-    lv = numerics.as_complex_matrix(lv, square=True)
+    lv = numerics.as_complex_matrix(lv)
     if lv.shape != (DIM * DIM, DIM * DIM):
         raise DimensionMismatch(f"expected 9x9 Liouvillian, got {lv.shape}")
     if not np.isfinite(t):

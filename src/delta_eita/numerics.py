@@ -26,18 +26,17 @@ SINGULARITY_THRESHOLD = 1e-12
 HERMITICITY_TOLERANCE = 1e-12
 
 
-def as_complex_matrix(a, square: bool = False, stack: bool = False) -> np.ndarray:
-    """Coerce ``a`` to a 2-d complex array, enforcing finiteness.
+def as_complex_matrix(a, stack: bool = False) -> np.ndarray:
+    """Coerce ``a`` to a square 2-d complex array, enforcing finiteness.
 
-    With ``stack`` a 3-d array, a stack of matrices along the first axis,
-    is accepted as well.  Raises DimensionMismatch for any other ndim (or
-    non-square matrices when ``square``) and ValueError for NaN/Inf
-    entries.
+    With ``stack`` a 3-d array, a stack of square matrices along the first
+    axis, is accepted as well.  Raises DimensionMismatch for any other
+    ndim or a non-square shape, and ValueError for NaN/Inf entries.
     """
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 and not (stack and m.ndim == 3):
         raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
-    if square and m.shape[-2] != m.shape[-1]:
+    if m.shape[-2] != m.shape[-1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")
@@ -52,6 +51,17 @@ def as_complex_vector(b) -> np.ndarray:
     if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
         raise ValueError("vector entries must be finite")
     return v
+
+
+def scale_complex(z, c: complex):
+    """``z * c`` for a scalar or array ``z`` and a scalar ``c``, from real
+    and imaginary parts: each element rounds like the scalar product, bit
+    for bit, where numpy's vectorized complex multiply can differ."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(z.shape, dtype=complex)
+    out.real = z.real * c.real - z.imag * c.imag
+    out.imag = z.real * c.imag + z.imag * c.real
+    return out[()]
 
 
 @functools.cache
@@ -94,7 +104,7 @@ def solve_linear(a, b) -> np.ndarray:
     solved then.  For a stack the message is that of the first such
     member, as if solved alone.
     """
-    a = as_complex_matrix(a, square=True, stack=True)
+    a = as_complex_matrix(a, stack=True)
     b = as_complex_vector(b)
     if b.shape[0] != a.shape[-1]:
         raise DimensionMismatch(
@@ -139,7 +149,7 @@ def expm(a) -> np.ndarray:
     """
     from scipy.linalg import expm as scipy_expm
 
-    return scipy_expm(as_complex_matrix(a, square=True))
+    return scipy_expm(as_complex_matrix(a))
 
 
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +160,7 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     NotHermitian when ``a`` deviates from its conjugate transpose by more
     than ``HERMITICITY_TOLERANCE`` elementwise.
     """
-    a = as_complex_matrix(a, square=True)
+    a = as_complex_matrix(a)
     asym = np.max(np.abs(a - a.conj().T))
     if asym > HERMITICITY_TOLERANCE:
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds {HERMITICITY_TOLERANCE:.0e}")

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atom import Decoherence, DriveSet, global_phase, rotating_hamiltonian
+from .csvout import write_csv
 from .errors import (
     DeltaEitaError,
     InsufficientResolution,
@@ -30,6 +31,7 @@ from .errors import (
     WindowTooNarrow,
 )
 from .lindblad import build_liouvillian, steady_state
+from .numerics import scale_complex
 
 CLASSIFICATIONS = ("EIT", "LWI", "EITA", "ABSORPTION", "AMPLIFICATION_WINDOW")
 
@@ -91,8 +93,9 @@ class SpectrumTable:
                 f"columns need shapes (n,), (n,) and (n, 3), got "
                 f"{d.shape}, {r.shape} and {p.shape}")
         total = p[:, 0] + p[:, 1] + p[:, 2]
-        bad_sum = np.abs(total - 1.0) > 1e-9
-        bad_range = (p < -1e-9) | (p > 1.0 + 1e-9)
+        # "not within bound", so that a NaN fails too
+        bad_sum = ~(np.abs(total - 1.0) <= 1e-9)
+        bad_range = ~((p >= -1e-9) & (p <= 1.0 + 1e-9))
         failed = bad_sum | np.any(bad_range, axis=1)
         if np.any(failed):
             k = int(np.argmax(failed))
@@ -184,22 +187,8 @@ def probe_response(drives: DriveSet, dec: Decoherence, delta13: float) -> Spectr
     d = drives.with_probe_detuning(delta13)
     rho = steady_state(build_liouvillian(rotating_hamiltonian(d), dec))
     return SpectrumTable(detunings=[delta13],
-                         rho31=_probe_referenced(rho[None, 2, 0], d.d13.phase),
+                         rho31=scale_complex(rho[None, 2, 0], np.exp(1j * d.d13.phase)),
                          populations=np.diag(rho).real[None], drives=drives, dec=dec)
-
-
-def _probe_referenced(rho31: np.ndarray, phase: float) -> np.ndarray:
-    """``rho31 * exp(i phase)`` from real and imaginary parts.
-
-    This rounds like numpy's scalar complex multiply, so a stacked row
-    equals its ``probe_response`` row bit for bit; the vectorized complex
-    multiply can differ from it in the last bit.
-    """
-    p = np.exp(1j * phase)
-    out = np.empty(rho31.shape, dtype=complex)
-    out.real = rho31.real * p.real - rho31.imag * p.imag
-    out.imag = rho31.real * p.imag + rho31.imag * p.real
-    return out
 
 
 def _sweep_block(drives: DriveSet, dec: Decoherence,
@@ -215,7 +204,7 @@ def _sweep_block(drives: DriveSet, dec: Decoherence,
     h[:, 1, 1] = -(block - drives.d23.detuning)
     h[:, 2, 2] = -block
     rho = steady_state(build_liouvillian(h, dec))
-    return (_probe_referenced(rho[:, 2, 0], drives.d13.phase),
+    return (scale_complex(rho[:, 2, 0], np.exp(1j * drives.d13.phase)),
             rho.diagonal(axis1=1, axis2=2).real)
 
 
@@ -572,28 +561,13 @@ def write_spectrum_csv(table: SpectrumTable, path, extra_metadata: dict | None =
 
     Columns: delta13, re_rho31, im_rho31, pop1, pop2, pop3, inversion.
     """
-    meta = {
-        "omega12": table.drives.d12.magnitude,
-        "phi12": table.drives.d12.phase,
-        "omega13": table.drives.d13.magnitude,
-        "phi13": table.drives.d13.phase,
-        "omega23": table.drives.d23.magnitude,
-        "phi23": table.drives.d23.phase,
-        "delta23": table.drives.d23.detuning,
-        "gamma12": table.dec.gamma12,
-        "gamma13": table.dec.gamma13,
-        "gamma23": table.dec.gamma23,
-        "gphi2": table.dec.gphi2,
-        "gphi3": table.dec.gphi3,
-        "loop_phase": table.loop_phase,
-    }
-    if extra_metadata:
-        meta.update(extra_metadata)
-    lines = [f"# {key} = {value!r}" for key, value in meta.items()]
-    lines.append("delta13,re_rho31,im_rho31,pop1,pop2,pop3,inversion")
-    columns = (table.detunings, table.dispersion, table.absorption,
-               *table.populations.T, table.inversions)
-    lines.extend(f"{d!r},{re!r},{im!r},{p1!r},{p2!r},{p3!r},{inv!r}"
-                 for d, re, im, p1, p2, p3, inv in zip(*(c.tolist() for c in columns)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    d, dec = table.drives, table.dec
+    meta = {"omega12": d.d12.magnitude, "phi12": d.d12.phase,
+            "omega13": d.d13.magnitude, "phi13": d.d13.phase,
+            "omega23": d.d23.magnitude, "phi23": d.d23.phase, "delta23": d.d23.detuning,
+            "gamma12": dec.gamma12, "gamma13": dec.gamma13, "gamma23": dec.gamma23,
+            "gphi2": dec.gphi2, "gphi3": dec.gphi3, "loop_phase": table.loop_phase}
+    write_csv(path, ("delta13", "re_rho31", "im_rho31", "pop1", "pop2", "pop3", "inversion"),
+              (table.detunings, table.dispersion, table.absorption,
+               *table.populations.T, table.inversions),
+              meta | (extra_metadata or {}))

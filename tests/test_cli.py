@@ -247,6 +247,15 @@ class TestExitCodes:
         assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_phases_sharing_a_csv_name_are_rejected(self, tmp_path, capsys):
+        text = (MINIMAL_EIT.replace("mode = sweep", "mode = phase-sweep")
+                .replace("points = 41", "points = 41\nphases = 0.00001,0.5,0.00002"))
+        cfg = self.write(tmp_path, text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: two phases would write one CSV, _phi0.0000\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("config, mode, message", [
         ("fluxonium", "sweep", "mode 'sweep' needs [atom] and all three [drives.*] sections"),
         ("eita", "fluxonium", "mode 'fluxonium' needs a [fluxonium] section"),

@@ -211,3 +211,19 @@ class TestHermitianEig:
         with pytest.raises(NotHermitian):
             numerics.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+
+
+def test_matrices_must_be_square():
+    with pytest.raises(DimensionMismatch, match="square"):
+        numerics.as_complex_matrix(np.ones((3, 2)))
+    with pytest.raises(DimensionMismatch, match="square"):
+        numerics.as_complex_matrix(np.ones((4, 3, 2)), stack=True)
+    assert numerics.as_complex_matrix(np.ones((4, 2, 2)), stack=True).shape == (4, 2, 2)
+
+
+def test_scale_complex_rounds_like_the_scalar_product(rng):
+    z = random_complex(rng, 4001)
+    for c in (np.exp(-0.5j * np.pi), np.exp(0.9j), np.sqrt(2.0)):
+        scaled = numerics.scale_complex(z, c)
+        assert scaled.tobytes() == np.array([w * c for w in z.tolist()]).tobytes()
+        assert numerics.scale_complex(z[7], c) == z.tolist()[7] * c

@@ -397,6 +397,8 @@ class TestSpectrumTableValidation:
     def test_rejects_bad_population_sum(self):
         with pytest.raises(ValidationError, match=r"^populations sum to 1\.2, not 1$"):
             table_with_row([0.6, 0.3, 0.3])
+        with pytest.raises(ValidationError, match=r"^populations sum to nan, not 1$"):
+            table_with_row([np.nan, 0.0, 0.0])
 
     def test_rejects_out_of_range_population(self):
         with pytest.raises(ValidationError, match=r"^population 1\.2 outside \[0, 1\]$"):
