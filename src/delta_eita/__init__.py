@@ -52,6 +52,7 @@ from .lindblad import (
     devectorize,
     dissipator_superop,
     evolve,
+    propagate,
     steady_state,
     validate_density_matrix,
     vectorize,
@@ -113,6 +114,7 @@ __all__ = [
     "output_amplitude",
     "population_inversion_scan",
     "probe_response",
+    "propagate",
     "reflection_spectrum",
     "rotating_hamiltonian",
     "scale_decay_rates",

@@ -31,10 +31,10 @@ from .fluxonium import (
 from .inout import reflection_spectrum, write_reflection_csv
 from .lindblad import (
     build_liouvillian,
-    evolve,
     ground_state,
     level_projector,
     maximally_mixed,
+    propagate,
     steady_state,
 )
 from .atom import rotating_hamiltonian
@@ -109,7 +109,7 @@ def run(cfg: RunConfig) -> int:
         rho = {"ground": ground_state(), "mixed": maximally_mixed(),
                "excited": level_projector(3)}[cfg.evolve_initial]
         times = np.linspace(0.0, cfg.evolve_t, 201)
-        states = np.array([evolve(lv, rho, t) for t in times])
+        states = propagate(lv, rho, times)
         pops = states.diagonal(axis1=1, axis2=2).real
         path = _out_path(cfg, "evolve")
         write_csv(path, ("t", "pop1", "pop2", "pop3", "re_rho31", "im_rho31"),

@@ -15,7 +15,8 @@ j*3 + i, so vec(A rho B) = (B^T kron A) vec(rho) and
 
 The equation is linear with a constant generator, so the steady state is
 the unit-trace kernel vector of L and time evolution is the exact
-propagator exp(L t).
+propagator exp(L t): :func:`propagate` forms it for every sample time in
+one stacked :func:`numerics.expm` and validates the states in one batch.
 """
 
 from __future__ import annotations
@@ -197,32 +198,48 @@ def steady_state(lv) -> np.ndarray:
 def default_timestep(lv) -> float:
     """Step of a conservative fixed-step RK4, 1e-3 / max(1, ||L||_inf).
 
-    :func:`evolve` does not step.  ``bench/spans.py`` converts each evolve
+    :func:`propagate` does not step.  ``bench/spans.py`` converts each evolve
     call into the steps a fixed-step RK4 at this step would take, its
     ``lindblad.evolve.rk4_steps`` counter.
     """
     return 1e-3 / max(1.0, np.linalg.norm(lv, np.inf))
 
 
-def evolve(lv, rho0, t: float) -> np.ndarray:
-    """Propagate ``rho0`` for time ``t``: vec(rho(t)) = exp(L t) vec(rho0).
+def propagate(lv, rho0, times) -> np.ndarray:
+    """Propagate ``rho0`` to each of ``times``: vec(rho(t)) = exp(L t) vec(rho0).
 
-    ``t`` must be finite and >= 0 (ValueError otherwise).  The result is
-    re-Hermitized and validated with the propagation gates (trace drift
-    <= 1e-8, eigenvalues >= -1e-6); violations raise InvariantViolation.
+    ``times`` is a vector whose entries must be finite and >= 0 (ValueError
+    otherwise, for the first offending entry).  ``rho0`` is validated once;
+    the propagators of all times come from one stacked
+    :func:`numerics.expm`.  Returns the ``(m, 3, 3)`` states, re-Hermitized
+    and validated in one batch with the propagation gates (trace drift
+    <= 1e-8, eigenvalues >= -1e-6); a violation raises InvariantViolation
+    with the message of the first failing state, as if propagated alone.
     """
     lv = numerics.as_complex_matrix(lv)
     if lv.shape != (DIM * DIM, DIM * DIM):
         raise DimensionMismatch(f"expected 9x9 Liouvillian, got {lv.shape}")
-    if not np.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t}")
-    if t < 0.0:
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise DimensionMismatch(f"expected a vector of times, got ndim={times.ndim}")
+    bad = ~np.isfinite(times) | (times < 0.0)
+    if np.any(bad):
+        t = times[np.argmax(bad)]
+        if not np.isfinite(t):
+            raise ValueError(f"evolution time must be finite, got {t}")
         raise ValueError(f"evolution time must be >= 0, got {t}")
     rho0 = validate_density_matrix(rho0)
-    rho = devectorize(numerics.expm(lv * t) @ vectorize(rho0))
-    rho = 0.5 * (rho + rho.conj().T)
+    v = numerics.expm(lv * times[:, None, None]) @ vectorize(rho0)
+    # column stacking, as in devectorize, for every state at once
+    rho = np.swapaxes(v.reshape(-1, DIM, DIM), -1, -2)
+    rho = 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
     return validate_density_matrix(
         rho, trace_tol=EVOLVE_TRACE_TOL, eig_floor=EVOLVE_EIGENVALUE_FLOOR)
+
+
+def evolve(lv, rho0, t: float) -> np.ndarray:
+    """Propagate ``rho0`` for one time ``t``: :func:`propagate` at ``[t]``."""
+    return propagate(lv, rho0, [t])[0]
 
 
 def maximally_mixed() -> np.ndarray:

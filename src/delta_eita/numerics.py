@@ -4,7 +4,10 @@ Everything here is domain-free: a pivoted linear solve
 with explicit singularity detection, the matrix exponential, and
 Hermitian eigendecomposition.  Matrices are plain
 ``numpy.ndarray`` of complex128; the validation helpers enforce the finite-
-entries contract at the boundary.
+entries contract at the boundary.  The solve and the exponential take a
+stack ``(m, n, n)`` as well, and each member's result is bit for bit the
+one it gets alone.  The exponential is numpy alone; the solve opens
+LAPACK from scipy's wheel with ``ctypes`` but never imports scipy.
 """
 
 from __future__ import annotations
@@ -140,16 +143,87 @@ def solve_linear(a, b) -> np.ndarray:
     return x.reshape(a.shape[:-1])
 
 
-def expm(a) -> np.ndarray:
-    """Matrix exponential of a finite square matrix.
+#: Coefficients b_0 ... b_13 of the degree-13 Pade approximant to exp
+#: (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 
-    scipy's scaling-and-squaring Pade algorithm (Al-Mohy & Higham, SIAM
-    J. Matrix Anal. Appl. 31, 970 (2009)).  scipy is imported here, on
-    first use, so that runs which never exponentiate never load it.
+#: Largest scaled norm at which Pade-13 is accurate to double precision.
+_THETA13 = 5.371920351148152
+
+#: Leading coefficient of Pade-13's backward-error series, (13!)^2 / (26! 27!),
+#: and the unit roundoff it is compared with (Al-Mohy & Higham, SIAM J.
+#: Matrix Anal. Appl. 31, 970 (2009)).
+_C27 = 1.0 / 113250775606021113483283660800000000
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _norm1(a) -> np.ndarray:
+    """1-norm (largest absolute column sum) of each member of a stack."""
+    return np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+
+
+def _pade13(a) -> np.ndarray:
+    """exp of each member of a stack ``(m, n, n)`` by scaling and squaring.
+
+    Each member ``A`` is scaled by ``2**-s``, its Pade-13 approximant
+    solved for and squared ``s`` times.  ``s`` follows Al-Mohy & Higham
+    (2009) with exact norms: the powers A^2, A^4, A^6 the approximant needs
+    bound ||A^8||^(1/8) and ||A^10||^(1/10), and ``ell`` adds squarings
+    while the backward-error bound from ||(2^-s |A|)^27|| exceeds the unit
+    roundoff, which guards strongly non-normal members.
     """
-    from scipy.linalg import expm as scipy_expm
+    b = _PADE13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    norm, norm4 = _norm1(a), _norm1(a4)
+    # ||A^8|| <= ||A^4||^2 and ||A^10|| <= ||A^4|| ||A^6||; never above ||A||
+    eta = np.fmin(np.maximum(norm4 ** 0.25, (norm4 * _norm1(a6)) ** 0.1), norm)
+    s = np.ceil(np.log2(np.maximum(eta / _THETA13, 1.0)))
+    # ||(2^-s |A|)^27||_1 exactly: the largest entry of 1^T (2^-s |A|)^27
+    scaled_abs = np.abs(a) * (2.0 ** -s)[:, None, None]
+    column_sums = np.ones(a.shape[:-1])[:, None, :]
+    for _ in range(27):
+        column_sums = column_sums @ scaled_abs
+    alpha = _C27 * np.max(column_sums[:, 0, :], axis=-1) / (norm * 2.0 ** -s)
+    s = (s + np.ceil(np.log2(np.maximum(alpha / _UNIT_ROUNDOFF, 1.0)) / 26)).astype(int)
+    c = (2.0 ** -s)[:, None, None]
+    a, a2, a4, a6 = a * c, a2 * c ** 2, a4 * c ** 4, a6 * c ** 6
+    ident = np.eye(a.shape[-1])
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for j in range(int(np.max(s, initial=0))):
+        squared = s > j
+        rs = r[squared]
+        r[squared] = rs @ rs
+    return r
 
-    return scipy_expm(as_complex_matrix(a))
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential of a finite square matrix or a stack ``(m, n, n)``.
+
+    Scaling-and-squaring Pade-13 in numpy alone (Higham, SIAM J. Matrix
+    Anal. Appl. 26, 1179 (2005); the scaling of Al-Mohy & Higham, ibid.
+    31, 970 (2009)), see :func:`_pade13`.  A diagonal member, the zero
+    matrix included, is ``exp`` of its diagonal, so ``expm(0)`` is the
+    identity exactly.  Every member is computed on its own: it is bit for
+    bit the result of ``expm`` on that member alone.
+    """
+    a = as_complex_matrix(a, stack=True)
+    stack = a.reshape((-1,) + a.shape[-2:])
+    n = stack.shape[-1]
+    diagonal = np.all((stack == 0.0) | np.eye(n, dtype=bool), axis=(-2, -1))
+    out = np.zeros_like(stack)
+    i = np.arange(n)
+    out[np.flatnonzero(diagonal)[:, None], i, i] = np.exp(stack[diagonal][:, i, i])
+    if not np.all(diagonal):
+        out[~diagonal] = _pade13(stack[~diagonal])
+    return out.reshape(a.shape)
 
 
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:

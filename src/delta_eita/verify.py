@@ -35,7 +35,7 @@ from .fluxonium import (
     scale_decay_rates,
     spectrum_at,
 )
-from .inout import output_amplitude, reflection_from_table
+from .inout import homodyne_signal, output_amplitude, reflection_from_table
 from .lindblad import (
     build_liouvillian,
     evolve,
@@ -561,8 +561,8 @@ def check_inout_identities() -> CheckResult:
             a_out = output_amplitude(a_in, g13, rho)
             worst_aff = max(worst_aff,
                             abs(a_out - a_in - np.sqrt(g13) * rho))
-            i_quad = (a_out * np.exp(-0j)).real
-            q_quad = (a_out * np.exp(-0.5j * np.pi)).real
+            i_quad = homodyne_signal(a_out, 0.0)
+            q_quad = homodyne_signal(a_out, 0.5 * np.pi)
             worst_quad = max(worst_quad,
                              abs(i_quad ** 2 + q_quad ** 2 - abs(a_out) ** 2))
         dec = reference_decoherence()

@@ -12,6 +12,7 @@ from delta_eita import (
     devectorize,
     dissipator_superop,
     evolve,
+    propagate,
     rotating_hamiltonian,
     steady_state,
     validate_density_matrix,
@@ -234,6 +235,50 @@ class TestEvolve:
         lv = build_liouvillian(rotating_hamiltonian(stock_drives), stock_dec)
         with pytest.raises(ValueError, match="finite"):
             evolve(lv, ground_state(), t)
+
+
+class TestPropagate:
+    def test_zero_time_row_is_the_initial_state(self, rng, stock_drives, stock_dec):
+        lv = build_liouvillian(rotating_hamiltonian(stock_drives), stock_dec)
+        for rho0 in (ground_state(), validate_density_matrix(random_density(rng))):
+            states = propagate(lv, rho0, np.linspace(0.0, 10.0, 5))
+            assert states[0].tobytes() == rho0.tobytes()
+
+    def test_rows_equal_single_evolve_calls(self, stock_drives, stock_dec):
+        lv = build_liouvillian(rotating_hamiltonian(stock_drives), stock_dec)
+        times = np.linspace(0.0, 20.0, 201)
+        states = propagate(lv, level_projector(3), times)
+        for t, state in zip(times, states):
+            assert evolve(lv, level_projector(3), t).tobytes() == state.tobytes()
+
+    @pytest.mark.parametrize("case", ["trace-loss", "negative-rate"])
+    def test_failing_stack_raises_as_first_failing_sample(self, stock_drives, stock_dec, case):
+        lv = build_liouvillian(rotating_hamiltonian(stock_drives), stock_dec)
+        if case == "trace-loss":
+            lv = lv - 1e-9 * np.eye(9)
+        else:
+            # 3 -> 1 decay at a net negative rate drives pop1 below zero
+            lv = lv - 2.0 * dissipator_superop(unit(0, 2))
+        times = np.linspace(0.0, 50.0, 11)
+        with pytest.raises(InvariantViolation) as stacked:
+            propagate(lv, level_projector(3), times)
+        for t in times:
+            try:
+                evolve(lv, level_projector(3), t)
+            except InvariantViolation as alone:
+                assert str(stacked.value) == str(alone)
+                break
+        else:
+            pytest.fail("no sample fails alone")
+
+    @pytest.mark.parametrize("times, message", [
+        ([1.0, -1.0, np.nan], ">= 0, got -1.0"),
+        ([1.0, np.inf, -1.0], "finite, got inf"),
+    ])
+    def test_first_bad_time_is_reported(self, stock_drives, stock_dec, times, message):
+        lv = build_liouvillian(rotating_hamiltonian(stock_drives), stock_dec)
+        with pytest.raises(ValueError, match=message):
+            propagate(lv, ground_state(), times)
 
 
 class TestValidateDensityMatrix:

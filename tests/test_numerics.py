@@ -2,10 +2,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 from scipy.linalg import lu_factor, lu_solve
 
 from delta_eita import DimensionMismatch, NotHermitian, SingularMatrix
-from delta_eita import numerics, sweep_detuning
+from delta_eita import build_liouvillian, numerics, rotating_hamiltonian, sweep_detuning
 from delta_eita.config import parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -151,6 +152,13 @@ def taylor_expm_oracle(a, terms=60):
     return out
 
 
+def assert_matches_scipy_expm(a):
+    """``numerics.expm(a)`` within 1e-13 of scipy's, relative to its largest entry."""
+    expected = scipy_expm(a)
+    error = np.max(np.abs(numerics.expm(a) - expected)) / np.max(np.abs(expected))
+    assert error <= 1e-13, error
+
+
 class TestExpm:
     def test_zero_matrix(self):
         np.testing.assert_array_equal(numerics.expm(np.zeros((3, 3))), np.eye(3))
@@ -183,6 +191,33 @@ class TestExpm:
     def test_non_square(self):
         with pytest.raises(DimensionMismatch):
             numerics.expm(np.ones((2, 3)))
+
+    def test_stack_members_equal_single_calls(self, rng):
+        norms = np.geomspace(1e-3, 1e3, 13)
+        stack = random_complex(rng, (len(norms) + 3, 9, 9))
+        stack[:len(norms)] *= (norms / np.linalg.norm(stack[:len(norms)], 1, axis=(1, 2)))[:, None, None]
+        stack[-3] = 0.0
+        stack[-2] = np.diag(random_complex(rng, 9))
+        stack[-1] = np.diag(np.ones(8), 1)          # nilpotent: A^2 != 0, A^9 = 0
+        got = numerics.expm(stack)
+        for member, expected in zip(stack, got):
+            assert numerics.expm(member).tobytes() == expected.tobytes()
+
+    def test_matches_scipy_on_random_matrices(self, rng):
+        # at ||A||_1 = 1e3 exp is ill-conditioned enough that two correct
+        # algorithms differ by up to ~1e-13 relative (p99 9e-14 in 300 draws)
+        for norm in np.repeat(np.geomspace(1e-3, 1e3, 7), 4):
+            a = random_complex(rng, (9, 9))
+            assert_matches_scipy_expm(a * norm / np.linalg.norm(a, 1))
+
+    @pytest.mark.parametrize("t", [0.1, 1.0, 10.0, 100.0])
+    def test_matches_scipy_on_defective_jordan_block(self, t):
+        jordan = np.diag(np.full(9, -1.0 + 0.5j)) + np.diag(np.ones(8), 1)
+        assert_matches_scipy_expm(jordan * t)
+
+    def test_matches_scipy_on_long_time_liouvillian(self, stock_drives, stock_dec):
+        lv = build_liouvillian(rotating_hamiltonian(stock_drives), stock_dec)
+        assert_matches_scipy_expm(1000.0 * lv)
 
 
 class TestHermitianEig:

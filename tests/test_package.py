@@ -33,16 +33,30 @@ def _fresh_cli_run(tmp_path, argv):
     return int(rc), loaded == "True", lines
 
 
-@pytest.mark.parametrize("config", [None, "eita", "fluxonium"],
-                         ids=["import", "eita-sweep", "fluxonium"])
-def test_start_up_path_does_not_import_scipy(tmp_path, config):
+#: Every shipped config and mode a cold benchmark process runs, with the
+#: start of its stdout summary; only verify, which runs scipy's
+#: tridiagonal eigensolver as an oracle, loads scipy.
+@pytest.mark.parametrize("config, mode, summary", [
+    (None, None, None), ("eita", None, "sweep n=801"), ("fluxonium", None, "fluxonium n="),
+    ("eita", "steady", "steady delta13="), ("reflect", None, "reflect n="),
+    ("eita", "evolve", "evolve t=10 initial=ground"), ("lwi", None, "sweep n="),
+    ("eit", None, "sweep n="), ("phase_scan", None, "phase-sweep phi="),
+], ids=["import", "eita-sweep", "fluxonium", "eita-steady", "reflect", "eita-evolve",
+        "lwi", "eit", "phase_scan"])
+def test_start_up_path_does_not_import_scipy(tmp_path, config, mode, summary):
     argv = None if config is None else [
         "--config", str(ROOT / "configs" / f"{config}.ini"), "--out", str(tmp_path)]
-    assert _fresh_cli_run(tmp_path, argv)[:2] == (0, False)
+    if mode is not None:
+        argv += ["--mode", mode]
+    rc, loaded, lines = _fresh_cli_run(tmp_path, argv)
+    assert (rc, loaded) == (0, False)
+    if summary is None:
+        assert lines == []
+    else:
+        assert lines[-1].startswith(summary)
 
 
 @pytest.mark.parametrize("mode, rc, last_line", [
-    ("evolve", 0, "evolve t=10 initial=ground"),
     ("verify", 3, "verify: 16/17 checks passed"),
 ])
 def test_modes_that_need_scipy_import_it_on_use(tmp_path, mode, rc, last_line):

@@ -25,7 +25,7 @@ from delta_eita import (
     sweep_phase,
 )
 from delta_eita.lindblad import evolve, maximally_mixed
-from delta_eita.spectroscopy import SWEEP_BLOCK, SpectrumTable
+from delta_eita.spectroscopy import SWEEP_BLOCK, SpectrumTable, kramers_kronig_grid
 
 
 def make_table(grid, values, drives=None, dec=None):
@@ -35,6 +35,30 @@ def make_table(grid, values, drives=None, dec=None):
     populations = np.tile([1.0, 0.0, 0.0], (len(grid), 1))
     return SpectrumTable(detunings=grid, rho31=values, populations=populations,
                          drives=drives, dec=dec)
+
+
+def hilbert_quadrature_loop(values, grid):
+    """Reference Hilbert transform: the trapezoid sum over every sample
+    x_j != x_i, one output sample at a time, with the singular sample
+    replaced by the average of its neighbours' integrand (an end sample
+    copies its one neighbour's)."""
+    y = np.asarray(values, dtype=float)
+    x = np.asarray(grid, dtype=float)
+    n = len(x)
+    w = np.full(n, x[1] - x[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    out = np.empty(n)
+    for i in range(n):
+        dx = x - x[i]
+        g = np.empty(n)
+        np.divide(y, dx, out=g, where=(dx != 0.0))
+        if 0 < i < n - 1:
+            g[i] = 0.5 * (g[i - 1] + g[i + 1])
+        else:
+            g[i] = g[1] if i == 0 else g[n - 2]
+        out[i] = np.dot(w, g)
+    return out / np.pi
 
 
 def assert_same_table(a, b):
@@ -344,6 +368,25 @@ class TestKramersKronig:
     def test_hilbert_requires_uniform_grid(self):
         with pytest.raises(ValidationError):
             hilbert_transform([0.0, 1.0, 0.0], [0.0, 0.1, 0.3])
+
+    @pytest.mark.parametrize("case", ["kk-grid", "lorentzian"])
+    def test_hilbert_matches_quadrature_loop(self, stock_drives, stock_dec, case):
+        if case == "kk-grid":
+            grid = kramers_kronig_grid()
+            values = sweep_detuning(stock_drives, stock_dec, grid).absorption
+        else:
+            grid = np.linspace(-80.0, 80.0, 4001)
+            values = 1.0 / (grid ** 2 + 1.0)
+        expected = hilbert_quadrature_loop(values, grid)
+        got = hilbert_transform(values, grid)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_hilbert_matches_quadrature_loop_on_short_grids(self, rng, n):
+        grid = np.linspace(-1.0, 2.0, n)
+        values = rng.normal(size=n)
+        np.testing.assert_allclose(hilbert_transform(values, grid),
+                                   hilbert_quadrature_loop(values, grid), rtol=0, atol=1e-14)
 
     def test_hilbert_of_lorentzian(self):
         grid = np.linspace(-80.0, 80.0, 4001)
