@@ -12,11 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .atom import rotating_hamiltonian
 from .config import RunConfig, dump_config, parse_config
 from .csvout import write_csv
 from .errors import (
     DeltaEitaError,
     InsufficientResolution,
+    NoSignChange,
     ParseError,
     ValidationError,
     WindowTooNarrow,
@@ -37,8 +39,6 @@ from .lindblad import (
     propagate,
     steady_state,
 )
-from .atom import rotating_hamiltonian
-from .errors import NoSignChange
 from .spectroscopy import (
     SpectrumTable,
     autler_townes_positions,
@@ -48,6 +48,7 @@ from .spectroscopy import (
     transparency_fwhm_estimate,
     write_spectrum_csv,
 )
+
 
 def _out_path(cfg: RunConfig, default_base: str, suffix: str = "") -> Path:
     out = Path(cfg.out_dir)

@@ -211,7 +211,8 @@ def propagate(lv, rho0, times) -> np.ndarray:
     ``times`` is a vector whose entries must be finite and >= 0 (ValueError
     otherwise, for the first offending entry).  ``rho0`` is validated once;
     the propagators of all times come from one stacked
-    :func:`numerics.expm`.  Returns the ``(m, 3, 3)`` states, re-Hermitized
+    :func:`numerics.expm`, and the first that overflows raises
+    InvariantViolation.  Returns the ``(m, 3, 3)`` states, re-Hermitized
     and validated in one batch with the propagation gates (trace drift
     <= 1e-8, eigenvalues >= -1e-6); a violation raises InvariantViolation
     with the message of the first failing state, as if propagated alone.
@@ -229,7 +230,17 @@ def propagate(lv, rho0, times) -> np.ndarray:
             raise ValueError(f"evolution time must be finite, got {t}")
         raise ValueError(f"evolution time must be >= 0, got {t}")
     rho0 = validate_density_matrix(rho0)
-    v = numerics.expm(lv * times[:, None, None]) @ vectorize(rho0)
+    # the powers of L t overflow from t ~ 4e18 at the stock rates, L t itself
+    # near 1e308: reported below, not warned of
+    with np.errstate(all="ignore"):
+        lt = lv * times[:, None, None]
+        fits = np.all(np.isfinite(lt), axis=(-2, -1))
+        props = numerics.expm(np.where(fits[:, None, None], lt, 0.0))
+    overflow = ~fits | ~np.all(np.isfinite(props), axis=(-2, -1))
+    if np.any(overflow):
+        raise InvariantViolation(
+            f"propagator exp(L t) is not finite at t={times[np.argmax(overflow)]:g}")
+    v = props @ vectorize(rho0)
     # column stacking, as in devectorize, for every state at once
     rho = np.swapaxes(v.reshape(-1, DIM, DIM), -1, -2)
     rho = 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())

@@ -73,9 +73,9 @@ class SpectrumTable:
     ``detunings`` (n,) is the finite, strictly increasing probe grid,
     ``rho31`` (n,) the reported coherence and ``populations`` (n, 3) the
     level populations.  Every row's populations must sum to 1 and lie in
-    [0, 1] within 1e-9; the first row that does not raises ValidationError.
-    Two tables are equal when their drives, rates and every column bit
-    agree, i.e. when they write the same CSV.
+    [0, 1] within 1e-9, and its rho31 be finite; the first row that does
+    not raises ValidationError.  Two tables are equal when their drives,
+    rates and every column bit agree, i.e. when they write the same CSV.
     """
 
     detunings: np.ndarray
@@ -103,6 +103,8 @@ class SpectrumTable:
                 raise ValidationError(f"populations sum to {float(total[k])}, not 1")
             bad = float(p[k, int(np.argmax(bad_range[k]))])
             raise ValidationError(f"population {bad} outside [0, 1]")
+        if not np.all(np.isfinite(r)):
+            raise ValidationError(f"rho31 {r[np.argmin(np.isfinite(r))]} is not finite")
         _check_grid(d)
         object.__setattr__(self, "detunings", d)
         object.__setattr__(self, "rho31", r)
@@ -293,86 +295,64 @@ def _extrema(x: np.ndarray, y: np.ndarray) -> list[tuple[int, float, float]]:
     scale = np.max(np.abs(y))
     if scale == 0.0:
         return []
-    out = []
-    for i in range(1, len(y) - 1):
-        if (y[i] > y[i - 1] and y[i] > y[i + 1]) or (y[i] < y[i - 1] and y[i] < y[i + 1]):
-            pos, height = _refine(x, y, i)
-            if abs(height) >= PEAK_SIGNIFICANCE * scale:
-                out.append((i, pos, height))
-    return out
+    left, mid, right = y[:-2], y[1:-1], y[2:]
+    turning = ((mid > left) & (mid > right)) | ((mid < left) & (mid < right))
+    refined = [(int(i), *_refine(x, y, i)) for i in np.flatnonzero(turning) + 1]
+    return [e for e in refined if abs(e[2]) >= PEAK_SIGNIFICANCE * scale]
 
 
 def _crossing(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float | None:
-    """Zero crossing of y on (lo, hi) by sign change + linear interpolation,
-    choosing the crossing nearest zero detuning when there are several."""
-    mask = (x >= lo) & (x <= hi)
-    idx = np.where(mask)[0]
-    if idx.size < 2:
+    """Zero crossing of y on [lo, hi] by sign change + linear interpolation
+    (or an exact zero sample), the first one nearest zero detuning."""
+    k = np.flatnonzero((x[:-1] >= lo) & (x[1:] <= hi))
+    k = k[(y[k] == 0.0) | (y[k] * y[k + 1] < 0.0)]
+    if k.size == 0:
         return None
-    best = None
-    for k in idx[:-1]:
-        if y[k] == 0.0:
-            c = float(x[k])
-        elif y[k] * y[k + 1] < 0.0:
-            c = float(x[k] - y[k] * (x[k + 1] - x[k]) / (y[k + 1] - y[k]))
-        else:
-            continue
-        if best is None or abs(c) < abs(best):
-            best = c
-    return best
+    y0 = y[k]
+    c = x[k] - np.divide(y0 * (x[k + 1] - x[k]), y[k + 1] - y0,
+                         out=np.zeros_like(y0), where=y0 != 0.0)
+    return float(c[np.argmin(np.abs(c))])
+
+
+def _run_end(x: np.ndarray, v: np.ndarray, level: float, bound: float) -> float:
+    """Right end of the run of samples from ``x[0]`` on where ``v <= level``:
+    where v crosses ``level``, interpolated from the first sample outside
+    towards its inside neighbour, clipped at ``bound``."""
+    stop = np.flatnonzero(v[1:] > level)
+    if stop.size == 0:
+        return min(bound, float(x[-1]))
+    j = stop[0] + 1
+    if x[j] > bound:
+        return bound
+    frac = (v[j] - level) / (v[j] - v[j - 1])
+    return float(x[j] - frac * (x[j] - x[j - 1]))
+
+
+def _run_edges(x: np.ndarray, v: np.ndarray, i0: int, level: float,
+               lo: float, hi: float) -> tuple[float, float]:
+    """Ends of the run of samples around ``i0`` where ``v <= level``, clipped
+    to [lo, hi]; both ``x[i0]`` when ``v[i0] > level``.  The left end is the
+    right end on the mirrored grid ``-x``, by the same (exact) steps."""
+    if v[i0] > level:
+        return float(x[i0]), float(x[i0])
+    return (-_run_end(-x[i0::-1], v[i0::-1], level, -lo),
+            _run_end(x[i0:], v[i0:], level, hi))
 
 
 def _abs_threshold_span(x: np.ndarray, y: np.ndarray, center: float,
                         lo: float, hi: float, thr: float) -> float:
-    """Width of the contiguous region around ``center`` inside [lo, hi]
-    where |y| <= thr, with linear interpolation at the boundary crossings."""
-    a = np.abs(y)
+    """Width of the run around ``center`` inside [lo, hi] where |y| <= thr."""
     i0 = int(np.argmin(np.abs(x - center)))
-    if a[i0] > thr:
-        # center sample sits above threshold; no measurable window
-        return 0.0
-    left = lo
-    for k in range(i0, 0, -1):
-        if x[k - 1] < lo:
-            left = lo
-            break
-        if a[k - 1] > thr:
-            frac = (a[k - 1] - thr) / (a[k - 1] - a[k])
-            left = x[k - 1] + frac * (x[k] - x[k - 1])
-            break
-    else:
-        left = max(lo, float(x[0]))
-    right = hi
-    for k in range(i0, len(x) - 1):
-        if x[k + 1] > hi:
-            right = hi
-            break
-        if a[k + 1] > thr:
-            frac = (a[k + 1] - thr) / (a[k + 1] - a[k])
-            right = x[k + 1] - frac * (x[k + 1] - x[k])
-            break
-    else:
-        right = min(hi, float(x[-1]))
-    return max(0.0, float(right - left))
+    left, right = _run_edges(x, np.abs(y), i0, thr, lo, hi)
+    return max(0.0, right - left)
 
 
 def _lobe_fwhm(x: np.ndarray, y: np.ndarray, sign: float) -> tuple[float, float]:
-    """(center, FWHM) of the dominant single lobe of sign ``sign``."""
+    """(center, FWHM) of the dominant single lobe of sign ``sign``: the run
+    around its peak where ``-sign * y <= -half`` the peak."""
     ys = sign * y
     i0 = int(np.argmax(ys))
-    half = 0.5 * ys[i0]
-    left = float(x[0])
-    for k in range(i0, 0, -1):
-        if ys[k - 1] < half:
-            frac = (half - ys[k - 1]) / (ys[k] - ys[k - 1])
-            left = x[k - 1] + frac * (x[k] - x[k - 1])
-            break
-    right = float(x[-1])
-    for k in range(i0, len(x) - 1):
-        if ys[k + 1] < half:
-            frac = (ys[k] - half) / (ys[k] - ys[k + 1])
-            right = x[k] + frac * (x[k + 1] - x[k])
-            break
+    left, right = _run_edges(x, -ys, i0, -0.5 * ys[i0], -np.inf, np.inf)
     pos = _refine(x, y, i0)[0] if 0 < i0 < len(x) - 1 else float(x[i0])
     return pos, max(0.0, right - left)
 
@@ -398,10 +378,12 @@ def find_peaks(table: SpectrumTable) -> PeakReport:
     * all-positive extrema -> ABSORPTION; all-negative -> LWI (gain with
       no transparency window).
 
-    The transparency-window FWHM is the width of the region between the
-    two flanking extrema where |Im rho31| stays at or below half the mean
-    flanking |extremum|; for windowless (ABSORPTION / LWI) profiles it is
-    the half-maximum width of the dominant lobe.
+    Both widths are the run of samples around a centre where a value stays
+    at or below a level, its ends interpolated.  The transparency-window
+    FWHM is the run of |Im rho31| <= half the mean flanking |extremum|
+    between the two extrema (0 if the centre sample is above it); for
+    windowless (ABSORPTION / LWI) profiles it is the run of
+    -sign Im rho31 <= -half the dominant lobe's peak.
     """
     x = table.detunings
     y = table.absorption

@@ -233,6 +233,15 @@ class TestExitCodes:
         cfg = self.write(tmp_path, text)
         assert main(["--config", cfg]) == 3
 
+    def test_evolve_overflow_is_numerical_error(self, tmp_path, capsys):
+        # the propagator's powers overflow long before t = 1e60; with
+        # warnings as errors, an overflow warning would fail this test
+        text = (CONFIG_DIR / "eita.ini").read_text(encoding="utf-8")
+        cfg = self.write(tmp_path, text + "\n[evolve]\nt = 1e60\n")
+        assert main(["--config", cfg, "--mode", "evolve", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical error: propagator exp(L t) is not finite at t=5e+57\n"
+
     @pytest.mark.parametrize("text", [
         MINIMAL_EIT.replace("lo = -2.0", "lo = -inf"),
         MINIMAL_EIT.replace("hi = 2.0", "hi = inf"),

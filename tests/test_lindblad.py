@@ -280,6 +280,16 @@ class TestPropagate:
         with pytest.raises(ValueError, match=message):
             propagate(lv, ground_state(), times)
 
+    @pytest.mark.parametrize("times, first", [
+        ([0.0, 1.0, 1e60, 1e30], "1e+60"),
+        ([0.0, 1.7e308, 1e60], "1.7e+308"),
+    ], ids=["powers-overflow", "lt-overflows"])
+    def test_overflowing_propagator_is_reported(self, stock_drives, stock_dec, times, first):
+        lv = build_liouvillian(rotating_hamiltonian(stock_drives), stock_dec)
+        with pytest.raises(InvariantViolation) as exc:
+            propagate(lv, ground_state(), times)
+        assert str(exc.value) == f"propagator exp(L t) is not finite at t={first}"
+
 
 class TestValidateDensityMatrix:
     def test_accepts_valid(self, rng):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from delta_eita import (
     Decoherence,
     DegenerateSteadyState,
+    DeltaEitaError,
     Drive,
     DriveSet,
     InsufficientResolution,
@@ -24,6 +25,7 @@ from delta_eita import (
     sweep_detuning,
     sweep_phase,
 )
+from delta_eita import spectroscopy
 from delta_eita.lindblad import evolve, maximally_mixed
 from delta_eita.spectroscopy import SWEEP_BLOCK, SpectrumTable, kramers_kronig_grid
 
@@ -59,6 +61,139 @@ def hilbert_quadrature_loop(values, grid):
             g[i] = g[1] if i == 0 else g[n - 2]
         out[i] = np.dot(w, g)
     return out / np.pi
+
+
+def extrema_loop(x, y):
+    """Reference ``_extrema``: the 3-point test, one sample at a time."""
+    scale = np.max(np.abs(y))
+    if scale == 0.0:
+        return []
+    out = []
+    for i in range(1, len(y) - 1):
+        if (y[i] > y[i - 1] and y[i] > y[i + 1]) or (y[i] < y[i - 1] and y[i] < y[i + 1]):
+            pos, height = spectroscopy._refine(x, y, i)
+            if abs(height) >= spectroscopy.PEAK_SIGNIFICANCE * scale:
+                out.append((i, pos, height))
+    return out
+
+
+def crossing_loop(x, y, lo, hi):
+    """Reference ``_crossing``: every sample pair in [lo, hi] in turn, the
+    first crossing nearest zero kept."""
+    idx = np.where((x >= lo) & (x <= hi))[0]
+    if idx.size < 2:
+        return None
+    best = None
+    for k in idx[:-1]:
+        if y[k] == 0.0:
+            c = float(x[k])
+        elif y[k] * y[k + 1] < 0.0:
+            c = float(x[k] - y[k] * (x[k + 1] - x[k]) / (y[k + 1] - y[k]))
+        else:
+            continue
+        if best is None or abs(c) < abs(best):
+            best = c
+    return best
+
+
+def abs_threshold_span_loop(x, y, center, lo, hi, thr):
+    """Reference ``_abs_threshold_span``: walk out from the centre sample
+    while |y| <= thr and the sample lies in [lo, hi]."""
+    a = np.abs(y)
+    i0 = int(np.argmin(np.abs(x - center)))
+    if a[i0] > thr:
+        return 0.0
+    left = lo
+    for k in range(i0, 0, -1):
+        if x[k - 1] < lo:
+            left = lo
+            break
+        if a[k - 1] > thr:
+            frac = (a[k - 1] - thr) / (a[k - 1] - a[k])
+            left = x[k - 1] + frac * (x[k] - x[k - 1])
+            break
+    else:
+        left = max(lo, float(x[0]))
+    right = hi
+    for k in range(i0, len(x) - 1):
+        if x[k + 1] > hi:
+            right = hi
+            break
+        if a[k + 1] > thr:
+            frac = (a[k + 1] - thr) / (a[k + 1] - a[k])
+            right = x[k + 1] - frac * (x[k + 1] - x[k])
+            break
+    else:
+        right = min(hi, float(x[-1]))
+    return max(0.0, float(right - left))
+
+
+def lobe_fwhm_loop(x, y, sign):
+    """Reference ``_lobe_fwhm``: walk out from the peak while sign*y stays
+    at or above half of it; the right edge is interpolated from its inside
+    sample."""
+    ys = sign * y
+    i0 = int(np.argmax(ys))
+    half = 0.5 * ys[i0]
+    left = float(x[0])
+    for k in range(i0, 0, -1):
+        if ys[k - 1] < half:
+            frac = (half - ys[k - 1]) / (ys[k] - ys[k - 1])
+            left = x[k - 1] + frac * (x[k] - x[k - 1])
+            break
+    right = float(x[-1])
+    for k in range(i0, len(x) - 1):
+        if ys[k + 1] < half:
+            frac = (ys[k] - half) / (ys[k] - ys[k + 1])
+            right = x[k] + frac * (x[k + 1] - x[k])
+            break
+    pos = spectroscopy._refine(x, y, i0)[0] if 0 < i0 < len(x) - 1 else float(x[i0])
+    return pos, max(0.0, right - left)
+
+
+def find_peaks_with_loops(table):
+    """Reference ``find_peaks``: its classification over the per-sample
+    loops above in place of the column helpers."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectroscopy, "_extrema", extrema_loop)
+        mp.setattr(spectroscopy, "_crossing", crossing_loop)
+        mp.setattr(spectroscopy, "_abs_threshold_span", abs_threshold_span_loop)
+        mp.setattr(spectroscopy, "_lobe_fwhm", lobe_fwhm_loop)
+        return find_peaks(table)
+
+
+def assert_same_report(table):
+    """find_peaks agrees with the loop reference: extrema, classification
+    and any error exactly, window centre and width to 1e-15 relative (the
+    reference interpolates a lobe's right edge from its inside sample,
+    find_peaks from the outside one, which can round differently)."""
+    try:
+        expected = find_peaks_with_loops(table)
+    except DeltaEitaError as exc:
+        with pytest.raises(type(exc)) as got:
+            find_peaks(table)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return type(exc).__name__
+    report = find_peaks(table)
+    assert report.peak_positions == expected.peak_positions
+    assert report.peak_heights == expected.peak_heights
+    assert report.classification == expected.classification
+    assert report.window_center == pytest.approx(expected.window_center, rel=1e-15, abs=0.0)
+    assert report.fwhm == pytest.approx(expected.fwhm, rel=1e-15, abs=0.0)
+    return report.classification
+
+
+def lorentzian_spectrum(points, lines, digits=None):
+    """Absorption sum_k h w^2 / ((x - c)^2 + w^2) over ``lines`` of
+    (c, w, h) on ``points`` uniform detunings in [-4, 4], optionally
+    rounded to ``digits`` decimals (exact zeros and flat runs)."""
+    grid = np.linspace(-4.0, 4.0, points)
+    y = np.zeros(points)
+    for c, w, h in lines:
+        y += h * w * w / ((grid - c) ** 2 + w * w)
+    if digits is not None:
+        y = np.round(y, digits)
+    return make_table(grid, 0.3 + 1j * y)
 
 
 def assert_same_table(a, b):
@@ -348,6 +483,97 @@ class TestFindPeaks:
         assert 0.0 < report.fwhm < 1.0
 
 
+#: One input of ``lorentzian_spectrum`` (points, lines) per find_peaks outcome.
+OUTCOME_INPUTS = {
+    "ABSORPTION": (101, [(0.3, 0.5, 1.0)]),
+    "LWI": (101, [(-0.3, 0.7, -1.0)]),
+    "EIT": (201, [(-1.2, 0.4, 1.0), (1.2, 0.4, 1.0)]),
+    "AMPLIFICATION_WINDOW": (201, [(-1.2, 0.4, 1.0), (1.2, 0.4, 1.0), (0.0, 0.2, -0.45)]),
+    "EITA": (201, [(-1.0, 0.5, 1.0), (1.0, 0.5, -0.5)]),
+    "InsufficientResolution": (9, [(-1.0, 0.3, 1.0), (0.0, 0.3, -1.0), (1.0, 0.3, 1.0)]),
+}
+
+
+class TestFindPeaksAgainstLoops:
+    """find_peaks against ``find_peaks_with_loops``, its per-sample loop
+    reference."""
+
+    @pytest.mark.parametrize("outcome", OUTCOME_INPUTS)
+    def test_every_outcome(self, outcome):
+        assert assert_same_report(lorentzian_spectrum(*OUTCOME_INPUTS[outcome])) == outcome
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(points=st.sampled_from([3, 4, 7, 9, 31, 101, 401]),
+           lines=st.lists(st.tuples(st.floats(-3.5, 3.5), st.floats(0.05, 2.0),
+                                    st.floats(-1.0, 1.0)), min_size=1, max_size=4),
+           mirrored=st.booleans(), digits=st.none() | st.integers(1, 3))
+    def test_generated_spectra(self, points, lines, mirrored, digits):
+        # mirrored lines give the symmetric flank pairs of EIT and gain
+        # windows; the 400 examples reach all five classes and
+        # InsufficientResolution
+        if mirrored:
+            lines = lines + [(-c, w, h) for c, w, h in lines]
+        assert_same_report(lorentzian_spectrum(points, lines, digits))
+
+    def test_shipped_spectra(self, stock_drives, stock_dec):
+        for phi in (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi):
+            for grid in (np.linspace(-4.0, 4.0, 801), kramers_kronig_grid()):
+                assert_same_report(sweep_detuning(stock_drives.with_loop_phase(phi),
+                                                  stock_dec, grid))
+
+    def test_window_run_clipped_at_flank(self):
+        # the minor gain lobe stays under the threshold: the run around the
+        # crossing reaches the partner extremum, where it is clipped
+        table = lorentzian_spectrum(201, [(-1.0, 0.5, 1.0), (1.0, 0.5, -0.2)])
+        report = find_peaks(table)
+        (_, dominant), (partner, minor) = list(zip(report.peak_positions,
+                                                   report.peak_heights))[:2]
+        x, y = table.detunings, table.absorption
+        run = (x >= x[np.argmin(np.abs(x - report.window_center))]) & (x <= partner)
+        assert np.all(np.abs(y[run]) <= 0.25 * (abs(dominant) + abs(minor)))
+        assert assert_same_report(table) == "EITA"
+
+    def test_lobe_reaching_grid_end(self):
+        table = lorentzian_spectrum(201, [(3.8, 0.5, 1.0)])
+        y = table.absorption
+        assert y[-1] >= 0.5 * np.max(y)
+        assert assert_same_report(table) == "ABSORPTION"
+
+    def test_centre_sample_above_threshold(self):
+        # a gain dip deeper than half the mean flank: no measurable window
+        table = lorentzian_spectrum(
+            201, [(-1.5, 0.4, 1.0), (1.5, 0.4, 1.0), (0.0, 0.2, -2.0)])
+        assert assert_same_report(table) == "AMPLIFICATION_WINDOW"
+        assert find_peaks(table).fwhm == 0.0
+
+    def test_lobe_sample_at_half_maximum_stays_in_run(self):
+        # a shoulder dip to exactly half the peak: the run goes on past it
+        y = [0.0, 0.02, 0.05, 0.1, 0.15, 0.22, 0.27, 0.3, 0.27, 0.25, 0.2,
+             0.25, 0.3, 0.35, 0.4, 0.35, 0.3, 0.2, 0.1, 0.05, 0.02, 0.0]
+        table = make_table(0.25 * np.arange(len(y)), 0.3 + 1j * np.array(y))
+        assert assert_same_report(table) == "ABSORPTION"
+        assert find_peaks(table).fwhm > 2.0
+
+    def test_crossings_equally_near_zero_keep_the_first(self):
+        # exact zeros at -0.5 and +0.5 between the absorption and gain lobes
+        x = 0.25 * np.arange(-16, 17)
+        y = np.exp(-((x + 2.0) / 0.5) ** 2)
+        y[14:19] = [0.0, 1e-5, 2e-5, 1e-5, 0.0]
+        y[19:] = -0.5 * np.exp(-((x[19:] - 2.0) / 0.5) ** 2)
+        table = make_table(x, 0.3 + 1j * y)
+        assert assert_same_report(table) == "EITA"
+        assert find_peaks(table).window_center == -0.5
+
+    def test_exact_zero_sample_at_crossing(self):
+        base = lorentzian_spectrum(*OUTCOME_INPUTS["EITA"])
+        y = base.absorption.copy()
+        k = int(np.flatnonzero(y[:-1] * y[1:] < 0.0)[0])
+        y[k] = 0.0
+        table = make_table(base.detunings, 0.3 + 1j * y)
+        assert assert_same_report(table) == "EITA"
+        assert find_peaks(table).window_center == base.detunings[k]
+
+
 class TestKramersKronig:
     def test_zero_spectrum(self):
         grid = np.linspace(-10.0, 10.0, 101)
@@ -454,6 +680,16 @@ class TestSpectrumTableValidation:
         pops[3] = [0.6, 0.3, 0.3]
         with pytest.raises(ValidationError, match=r"^population -0\.5 outside"):
             SpectrumTable(table.detunings, table.rho31, pops, table.drives, table.dec)
+
+    @pytest.mark.parametrize("bad, shown", [
+        (np.nan, r"\(nan\+0j\)"), (complex(0.0, np.inf), "infj"),
+        (complex(-np.inf, 1.0), r"\(-inf\+1j\)")], ids=["nan", "inf-imag", "inf-real"])
+    def test_rejects_non_finite_rho31(self, bad, shown):
+        table = make_table(np.linspace(-1.0, 1.0, 5), np.zeros(5, dtype=complex))
+        rho31 = table.rho31.copy()
+        rho31[[1, 3]] = [bad, np.inf]
+        with pytest.raises(ValidationError, match=rf"^rho31 {shown} is not finite$"):
+            SpectrumTable(table.detunings, rho31, table.populations, table.drives, table.dec)
 
     def test_rejects_unequal_lengths(self):
         table = make_table(np.linspace(-1.0, 1.0, 5), np.zeros(5, dtype=complex))
