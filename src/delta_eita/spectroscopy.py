@@ -279,13 +279,15 @@ def analytic_rho31(omega12: float, omega13: float, omega23: float,
 
 
 def _refine(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
-    """Parabolic refinement of an interior grid extremum."""
+    """Parabolic refinement of an interior grid extremum; the shift (in grid
+    steps) is scaled by the spacing on the side it moves toward, so the
+    position stays within [x[i-1], x[i+1]]."""
     denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
     if denom == 0.0:
         return float(x[i]), float(y[i])
     shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
     shift = float(np.clip(shift, -1.0, 1.0))
-    pos = x[i] + shift * (x[i] - x[i - 1])
+    pos = x[i] + shift * (x[i + 1] - x[i] if shift > 0.0 else x[i] - x[i - 1])
     height = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift
     return float(pos), float(height)
 

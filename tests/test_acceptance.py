@@ -94,7 +94,8 @@ def test_criterion_10_inout_identities():
 
 
 def test_criterion_11_csv_determinism(tmp_path, capsys):
-    # end-to-end: the shipped config through the CLI at 1 and 8 workers
+    # end-to-end: the shipped config through the CLI twice; --workers is
+    # parsed and ignored, so this pins that passing 1 or 8 changes nothing
     config = REPO / "configs" / "eita.ini"
     out1 = tmp_path / "w1"
     out8 = tmp_path / "w8"

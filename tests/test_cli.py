@@ -120,6 +120,8 @@ class TestMainModes:
         assert "class=" in capsys.readouterr().out
 
     def test_worker_counts_are_deterministic(self, tmp_path):
+        # --workers is parsed and ignored; this pins that the flag changes
+        # no CSV byte
         cfg = self.write(tmp_path, MINIMAL_EIT)
         one = tmp_path / "w1"
         many = tmp_path / "w4"

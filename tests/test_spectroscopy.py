@@ -474,6 +474,18 @@ class TestFindPeaks:
         with pytest.raises(InsufficientResolution):
             find_peaks(make_table(grid, y))
 
+    def test_refined_extremum_stays_between_its_neighbours(self):
+        # non-uniform grid: the maximum at x = 5 moves a third of a step
+        # right, a third of the 0.1 step on that side, not of the 1.0 step
+        # on its left (which would carry it past the minimum at 5.3)
+        x = np.array([0.0, 4.0, 5.0, 5.1, 5.2, 5.3, 5.4, 5.5, 5.6])
+        y = np.array([0.0, 0.5, 1.0, 0.9, 0.6, 0.3, 0.5, 0.6, 0.7])
+        report = find_peaks(make_table(x, 1j * y))
+        assert report.peak_positions == pytest.approx((5.0 + 0.1 / 3.0, 5.31))
+        # mirrored, the maximum moves left by a third of the 0.1 step there
+        mirrored = find_peaks(make_table(-x[::-1], 1j * y[::-1]))
+        assert mirrored.peak_positions == pytest.approx((-5.31, -5.0 - 0.1 / 3.0))
+
     def test_transparency_window_width_weak_pump(self, stock_dec):
         # overdamped regime: measured window close to the narrow-dip scale
         drives = DriveSet(Drive(0.0), Drive(0.05), Drive(0.5))
