@@ -10,10 +10,7 @@ from .atom import (
     Decoherence,
     Drive,
     DriveSet,
-    LevelFrequencies,
-    derive_delta12,
     global_phase,
-    lab_hamiltonian,
     rotating_hamiltonian,
 )
 from .errors import (
@@ -85,7 +82,6 @@ __all__ = [
     "FluxoniumSpectrum",
     "InsufficientResolution",
     "InvariantViolation",
-    "LevelFrequencies",
     "NoSignChange",
     "NotHermitian",
     "ParseError",
@@ -99,7 +95,6 @@ __all__ = [
     "analytic_rho31",
     "build_device_hamiltonian",
     "build_liouvillian",
-    "derive_delta12",
     "devectorize",
     "dissipator_superop",
     "evolve",
@@ -110,7 +105,6 @@ __all__ = [
     "hilbert_transform",
     "homodyne_signal",
     "kramers_kronig_residual",
-    "lab_hamiltonian",
     "output_amplitude",
     "population_inversion_scan",
     "probe_response",

@@ -39,11 +39,6 @@ def fold_phase(phase: float) -> float:
     return float(phase) % TWO_PI
 
 
-def derive_delta12(delta13: float, delta23: float) -> float:
-    """Two-photon detuning of the 1-2 transition, delta13 - delta23."""
-    return delta13 - delta23
-
-
 @dataclass(frozen=True)
 class Drive:
     """One coherent drive: Rabi magnitude, phase and detuning.
@@ -79,7 +74,7 @@ class DriveSet:
     d23: Drive
 
     def __post_init__(self):
-        derived = derive_delta12(self.d13.detuning, self.d23.detuning)
+        derived = self.d13.detuning - self.d23.detuning
         object.__setattr__(self, "d12", dataclasses.replace(self.d12, detuning=derived))
 
     def with_probe_detuning(self, delta13: float) -> "DriveSet":
@@ -129,26 +124,6 @@ class Decoherence:
         return 0.5 * (self.gamma13 + self.gamma23 + self.gphi3)
 
 
-@dataclass(frozen=True)
-class LevelFrequencies:
-    """Bare level frequencies with strict ordering w1 < w2 < w3."""
-
-    w1: float
-    w2: float
-    w3: float
-
-    def __post_init__(self):
-        if not (self.w1 < self.w2 < self.w3):
-            raise ValueError(
-                f"level frequencies must be strictly ordered, got "
-                f"({self.w1}, {self.w2}, {self.w3})")
-
-    def transition(self, i: int, j: int) -> float:
-        """w_i - w_j for 1-based level labels."""
-        w = (self.w1, self.w2, self.w3)
-        return w[i - 1] - w[j - 1]
-
-
 def rotating_hamiltonian(drives: DriveSet) -> np.ndarray:
     """Time-independent Hamiltonian in the trichromatic rotating frame.
 
@@ -166,32 +141,6 @@ def rotating_hamiltonian(drives: DriveSet) -> np.ndarray:
     h[0, 1] = np.conj(h[1, 0])
     h[0, 2] = np.conj(h[2, 0])
     h[1, 2] = np.conj(h[2, 1])
-    return h
-
-
-def lab_hamiltonian(t: float, drives: DriveSet, levels: LevelFrequencies) -> np.ndarray:
-    """Lab-frame Hamiltonian at time ``t``.
-
-    H(t) = sum_i w_i |i><i|
-           - (1/2) sum_{i>j} Omega_ij exp(-i phi_ij)
-             exp(-i (w_ij + delta_ij) t) |i><j| + h.c.
-
-    with w_ij = w_i - w_j the (positive, i > j) transition frequency.  At
-    t = 0 the drive part coincides with the rotating-frame drive part.
-    """
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 0] = levels.w1
-    h[1, 1] = levels.w2
-    h[2, 2] = levels.w3
-    pairs = (
-        (1, 0, drives.d12, levels.transition(2, 1)),
-        (2, 0, drives.d13, levels.transition(3, 1)),
-        (2, 1, drives.d23, levels.transition(3, 2)),
-    )
-    for row, col, drive, w_ij in pairs:
-        amp = -0.5 * drive.magnitude * np.exp(-1j * drive.phase)
-        h[row, col] = amp * np.exp(-1j * (w_ij + drive.detuning) * t)
-        h[col, row] = np.conj(h[row, col])
     return h
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .atom import Decoherence, Drive, DriveSet
 from .errors import ParseError, ValidationError
-from .fluxonium import FluxoniumParams
+from .fluxonium import EXAMPLE_EC, EXAMPLE_EJ, EXAMPLE_EL, FluxoniumParams
 
 MODES = ("steady", "sweep", "phase-sweep", "evolve", "fluxonium", "reflect", "verify")
 UNITS = ("gamma13", "MHz")
@@ -257,10 +257,10 @@ def parse_config(text: str, units: str | None = None, mode: str | None = None,
     if flx.present():
         try:
             fluxonium = FluxoniumParams(
-                ej=flx.getfloat("ej", 9.0),
-                ec=flx.getfloat("ec", 2.5),
-                el=flx.getfloat("el", 0.52),
-                basis_size=flx.getint("basis_size", 100),
+                ej=flx.getfloat("ej", EXAMPLE_EJ),
+                ec=flx.getfloat("ec", EXAMPLE_EC),
+                el=flx.getfloat("el", EXAMPLE_EL),
+                basis_size=flx.getint("basis_size", FluxoniumParams.basis_size),
             )
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc

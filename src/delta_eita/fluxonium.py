@@ -37,7 +37,7 @@ BASIS_CONVERGENCE_GHZ = 1e-6
 BASIS_STEP = 20
 
 #: Representative fluxonium device energies (GHz) from the published
-#: literature; used by the stock configs and the contingent checks.
+#: literature; the [fluxonium] defaults and the contingent checks use them.
 EXAMPLE_EJ = 9.0
 EXAMPLE_EC = 2.5
 EXAMPLE_EL = 0.52
@@ -128,17 +128,6 @@ def build_device_hamiltonian(p: FluxoniumParams, flux: float,
     return 0.5 * (h + h.conj().T)
 
 
-def charge_operator(p: FluxoniumParams, basis_size: int | None = None) -> np.ndarray:
-    """Charge operator n in the oscillator basis."""
-    n = p.basis_size if basis_size is None else int(basis_size)
-    return _oscillator_ops(p.ec, p.el, n)[1]
-
-
-def _eigensystem(p: FluxoniumParams, flux: float, n: int):
-    h = build_device_hamiltonian(p, flux, basis_size=n)
-    return numerics.hermitian_eig(h)
-
-
 def spectrum_at(p: FluxoniumParams, flux: float) -> FluxoniumSpectrum:
     """Diagonalize at one bias and extract levels and |<i|n|j>|.
 
@@ -146,14 +135,15 @@ def spectrum_at(p: FluxoniumParams, flux: float) -> FluxoniumSpectrum:
     basis states; a shift above ``BASIS_CONVERGENCE_GHZ`` raises
     BasisTooSmall.
     """
-    w, v = _eigensystem(p, flux, p.basis_size)
-    w_big, _ = _eigensystem(p, flux, p.basis_size + BASIS_STEP)
+    w, v = numerics.hermitian_eig(build_device_hamiltonian(p, flux))
+    w_big, _ = numerics.hermitian_eig(
+        build_device_hamiltonian(p, flux, basis_size=p.basis_size + BASIS_STEP))
     shift = np.max(np.abs(w[:3] - w_big[:3]))
     if shift > BASIS_CONVERGENCE_GHZ:
         raise BasisTooSmall(
             f"lowest eigenvalues shift by {shift:.3e} GHz when the basis grows "
             f"from {p.basis_size} to {p.basis_size + BASIS_STEP}")
-    charge = charge_operator(p)
+    charge = _oscillator_ops(p.ec, p.el, p.basis_size)[1]
     states = v[:, :3]
     t = np.abs(states.conj().T @ charge @ states)
     return FluxoniumSpectrum(
@@ -184,7 +174,11 @@ def flux_sweep(p: FluxoniumParams, grid) -> list[FluxoniumSpectrum]:
 
 
 def _bisect(fn, lo: float, hi: float, tol: float) -> float:
-    """Root of a sign-changing scalar function by bisection."""
+    """Root of a sign-changing scalar function by bisection, until the
+    bracket is no wider than ``tol`` or its ends are adjacent floats."""
+    if not (np.all(np.isfinite([lo, hi, tol])) and lo < hi and tol > 0.0):
+        raise ValueError(f"bisection needs finite lo < hi and tol > 0, "
+                         f"got [{lo}, {hi}] and tol={tol}")
     flo = fn(lo)
     fhi = fn(hi)
     if flo == 0.0:
@@ -197,6 +191,8 @@ def _bisect(fn, lo: float, hi: float, tol: float) -> float:
     a, b = float(lo), float(hi)
     while b - a > tol:
         mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
         fm = fn(mid)
         if fm == 0.0:
             return mid
@@ -224,9 +220,9 @@ def find_balanced_bias(p: FluxoniumParams, lo: float, hi: float,
 def scale_decay_rates(gamma_ref: float, t_ref: float,
                       s: FluxoniumSpectrum) -> DecayEstimate:
     """White-noise scaling gamma_ij = gamma_ref * (t_ij / t_ref)^2."""
-    if gamma_ref <= 0.0:
+    if not gamma_ref > 0.0:
         raise ValueError(f"gamma_ref must be > 0, got {gamma_ref}")
-    if t_ref <= 0.0:
+    if not t_ref > 0.0:
         raise ValueError(f"t_ref must be > 0, got {t_ref}")
     scale = gamma_ref / t_ref ** 2
     return DecayEstimate(

@@ -22,19 +22,14 @@ documented convention Omega13 = 2 sqrt(gamma13) |a_in|.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atom import Decoherence, DriveSet, LevelFrequencies
+from .atom import Decoherence, DriveSet
 from .csvout import write_csv
 from .numerics import scale_complex
 from .spectroscopy import SpectrumTable, sweep_detuning
-
-#: Quasi-monochromatic validity: transition frequencies must be separated
-#: by at least this multiple of the largest decay rate.
-SEPARATION_FACTOR = 10.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +51,7 @@ class ReflectionTable:
 
 def output_amplitude(a_in: complex, gamma13: float, rho31):
     """Mean output field a_in + sqrt(gamma13) * rho31, scalar or column."""
-    if gamma13 < 0.0:
+    if not gamma13 >= 0.0:
         raise ValueError(f"gamma13 must be >= 0, got {gamma13}")
     return scale_complex(rho31, np.sqrt(gamma13)) + complex(a_in)
 
@@ -66,24 +61,7 @@ def homodyne_signal(a_out, lo_phase: float):
     return scale_complex(a_out, np.exp(-1j * lo_phase)).real
 
 
-def check_mode_separation(levels: LevelFrequencies, dec: Decoherence) -> None:
-    """Warn when transition frequencies are too close for the independent
-    quasi-monochromatic treatment of the three drive channels."""
-    freqs = (levels.transition(2, 1), levels.transition(3, 1), levels.transition(3, 2))
-    fastest = max(dec.gamma12, dec.gamma13, dec.gamma23)
-    threshold = SEPARATION_FACTOR * fastest
-    for i in range(3):
-        for j in range(i + 1, 3):
-            sep = abs(freqs[i] - freqs[j])
-            if sep < threshold:
-                warnings.warn(
-                    f"transition separation {sep:g} is below {SEPARATION_FACTOR:g}x "
-                    f"the largest decay rate {fastest:g}; the three-mode "
-                    f"treatment of the line is questionable", stacklevel=2)
-
-
 def reflection_spectrum(drives: DriveSet, dec: Decoherence, a_in: complex, grid,
-                        levels: LevelFrequencies | None = None,
                         tie_probe_to_input: bool = False) -> ReflectionTable:
     """Reflected-field sweep: steady-state solve composed with the
     input-output relation and both quadratures.
@@ -91,8 +69,6 @@ def reflection_spectrum(drives: DriveSet, dec: Decoherence, a_in: complex, grid,
     ``a_in`` only shifts the output; the atomic contribution depends on
     the pump/control drives solely through rho31.
     """
-    if levels is not None:
-        check_mode_separation(levels, dec)
     if tie_probe_to_input:
         drives = drives.with_probe_magnitude(2.0 * np.sqrt(dec.gamma13) * abs(a_in))
     table = sweep_detuning(drives, dec, grid)

@@ -136,17 +136,6 @@ class SpectrumTable:
     def loop_phase(self) -> float:
         return global_phase(self.drives)
 
-    def susceptibility(self, scale: float = 1.0) -> np.ndarray:
-        """Probe susceptibility in units of rho31/Omega13.
-
-        The dipole/field prefactor is not modeled; fold it into ``scale``.
-        Requires a nonzero probe magnitude.
-        """
-        omega13 = self.drives.d13.magnitude
-        if omega13 <= 0.0:
-            raise ValidationError("susceptibility needs a nonzero probe magnitude")
-        return scale * self.rho31 / omega13
-
 
 @dataclass(frozen=True)
 class PeakReport:
@@ -165,11 +154,6 @@ class PeakReport:
             raise ValidationError("fwhm must be >= 0")
         if self.classification not in CLASSIFICATIONS:
             raise ValidationError(f"unknown classification {self.classification!r}")
-
-
-def default_detuning_grid() -> np.ndarray:
-    """801 uniform points on [-4, 4] (resolves a unit-width window)."""
-    return np.linspace(-4.0, 4.0, 801)
 
 
 def kramers_kronig_grid() -> np.ndarray:
@@ -452,10 +436,10 @@ def find_peaks(table: SpectrumTable) -> PeakReport:
 def hilbert_transform(values, grid) -> np.ndarray:
     """Principal-value Hilbert transform (1/pi) PV int y(t)/(t - x) dt.
 
-    Trapezoidal quadrature on a uniform grid, summed for every sample at
-    once as an FFT convolution; the singular sample is replaced by the
-    symmetric average of its neighbours, which converges to the local PV
-    contribution y'(x).  With this sign convention the
+    Trapezoidal quadrature on a strictly increasing uniform grid, summed
+    for every sample at once as an FFT convolution; the singular sample is
+    replaced by the symmetric average of its neighbours, which converges
+    to the local PV contribution y'(x).  With this sign convention the
     dispersion of a causal response equals the transform of its
     absorption, e.g. Im = g/(d^2+g^2) pairs with Re = -d/(d^2+g^2).
     """
@@ -464,6 +448,7 @@ def hilbert_transform(values, grid) -> np.ndarray:
     n = len(x)
     if n < 3 or y.shape != x.shape:
         raise ValidationError("grid and values must be equal-length, n >= 3")
+    _check_grid(x)
     h = np.diff(x)
     if not np.allclose(h, h[0], rtol=1e-8, atol=0.0):
         raise ValidationError("Hilbert transform requires a uniform grid")

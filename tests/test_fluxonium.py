@@ -113,11 +113,42 @@ class TestFluxSweep:
         assert float(first[1]) == spectra[0].w10
 
 
+def capped(fn, limit=1000):
+    """``fn`` that counts its calls and fails beyond ``limit``, so that a
+    bisection that never ends fails instead of hanging."""
+
+    def wrapper(x):
+        wrapper.calls += 1
+        if wrapper.calls > limit:
+            raise AssertionError(f"more than {limit} calls")
+        return fn(x)
+
+    wrapper.calls = 0
+    return wrapper
+
+
 class TestBalancedBias:
     def test_synthetic_root_at_quarter(self):
         # engineered imbalance antisymmetric about 0.25
         root = _bisect(lambda f: np.sin(2.0 * np.pi * (f - 0.25)), 0.0, 0.45, 1e-7)
         assert root == pytest.approx(0.25, abs=1e-6)
+
+    @pytest.mark.parametrize("lo, hi, tol", [
+        (1.0, 0.0, 1e-5), (0.0, 0.0, 1e-5), (np.nan, 1.0, 1e-5), (0.0, np.inf, 1e-5),
+        (0.0, 1.0, 0.0), (0.0, 1.0, -1e-5), (0.0, 1.0, np.nan), (0.0, 1.0, np.inf),
+    ])
+    def test_bisect_rejects_bad_bracket_or_tolerance(self, lo, hi, tol):
+        with pytest.raises(ValueError):
+            _bisect(capped(lambda f: f - 0.3), lo, hi, tol)
+
+    def test_bisect_stops_at_adjacent_floats(self):
+        # a tolerance below the float spacing at the root ends when the
+        # midpoint rounds to an end; this step is never 0, so no midpoint
+        # hits the root exactly
+        fn = capped(lambda f: -1.0 if f <= 0.3 else 1.0)
+        root = _bisect(fn, 0.0, 1.0, 1e-300)
+        assert abs(root - 0.3) <= np.spacing(0.3)
+        assert fn.calls < 100
 
     def test_no_sign_change(self):
         with pytest.raises(NoSignChange):
@@ -162,10 +193,9 @@ class TestDecayScaling:
 
     def test_rejects_bad_reference(self):
         s = spectrum_at(DEVICE, 0.08)
-        with pytest.raises(ValueError):
-            scale_decay_rates(0.0, 1.0, s)
-        with pytest.raises(ValueError):
-            scale_decay_rates(1.0, 0.0, s)
+        for gamma_ref, t_ref in ((0.0, 1.0), (1.0, 0.0), (np.nan, 1.0), (1.0, np.nan)):
+            with pytest.raises(ValueError):
+                scale_decay_rates(gamma_ref, t_ref, s)
 
 
 def test_flux_sweep_error_carries_flux():

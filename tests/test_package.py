@@ -10,6 +10,28 @@ import delta_eita
 ROOT = Path(__file__).resolve().parent.parent
 
 
+#: The public surface; a name added to or removed from ``delta_eita.__all__``
+#: must be added to or removed from this list too.
+PUBLIC_NAMES = [
+    "BasisTooSmall", "DecayEstimate", "Decoherence", "DegenerateSteadyState",
+    "DeltaEitaError", "DimensionMismatch", "Drive", "DriveSet", "FluxoniumParams",
+    "FluxoniumSpectrum", "InsufficientResolution", "InvariantViolation", "NoSignChange",
+    "NotHermitian", "ParseError", "PeakReport", "ReflectionTable", "SingularDenominator",
+    "SingularMatrix", "SpectrumTable", "ValidationError", "WindowTooNarrow",
+    "analytic_rho31", "build_device_hamiltonian", "build_liouvillian", "devectorize",
+    "dissipator_superop", "evolve", "find_balanced_bias", "find_peaks", "flux_sweep",
+    "global_phase", "hilbert_transform", "homodyne_signal", "kramers_kronig_residual",
+    "output_amplitude", "population_inversion_scan", "probe_response", "propagate",
+    "reflection_spectrum", "rotating_hamiltonian", "scale_decay_rates", "spectrum_at",
+    "steady_state", "sweep_detuning", "sweep_phase", "validate_density_matrix",
+    "vectorize",
+]
+
+
+def test_public_surface_is_pinned():
+    assert delta_eita.__all__ == PUBLIC_NAMES
+
+
 def test_every_export_resolves():
     missing = [name for name in delta_eita.__all__ if not hasattr(delta_eita, name)]
     assert missing == []

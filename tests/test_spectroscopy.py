@@ -607,6 +607,13 @@ class TestKramersKronig:
         with pytest.raises(ValidationError):
             hilbert_transform([0.0, 1.0, 0.0], [0.0, 0.1, 0.3])
 
+    @pytest.mark.parametrize("grid", [np.linspace(20.0, -20.0, 2001), np.ones(3)],
+                             ids=["decreasing", "constant"])
+    def test_hilbert_requires_increasing_grid(self, grid):
+        # uniform, but a decreasing grid would give the negated transform
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            hilbert_transform(1.0 / (grid ** 2 + 1.0), grid)
+
     @pytest.mark.parametrize("case", ["kk-grid", "lorentzian"])
     def test_hilbert_matches_quadrature_loop(self, stock_drives, stock_dec, case):
         if case == "kk-grid":
@@ -724,17 +731,6 @@ class TestSpectrumTableValidation:
 
 
 class TestTableExtras:
-    def test_susceptibility_scaling(self, stock_drives, stock_dec):
-        table = sweep_detuning(stock_drives, stock_dec, np.linspace(-1.0, 1.0, 11))
-        chi = table.susceptibility(scale=2.0)
-        np.testing.assert_allclose(chi, 2.0 * table.rho31 / 0.2, atol=0)
-
-    def test_susceptibility_needs_probe(self, stock_dec):
-        drives = DriveSet(Drive(0.2), Drive(0.0), Drive(1.0))
-        table = sweep_detuning(drives, stock_dec, [0.0, 1.0])
-        with pytest.raises(ValidationError):
-            table.susceptibility()
-
     def test_sweep_error_carries_detuning(self):
         # disconnected level 3 fails per point with the detuning in the message
         dec = Decoherence(gamma12=0.1, gamma13=0.0, gamma23=0.0)
@@ -744,9 +740,6 @@ class TestTableExtras:
             sweep_detuning(drives, dec, [0.25, 0.5])
 
     def test_default_grids(self):
-        from delta_eita.spectroscopy import default_detuning_grid, kramers_kronig_grid
-        grid = default_detuning_grid()
-        assert len(grid) == 801 and grid[0] == -4.0 and grid[-1] == 4.0
         wide = kramers_kronig_grid()
         assert len(wide) == 4001 and wide[0] == -20.0 and wide[-1] == 20.0
 
