@@ -7,17 +7,26 @@ The device Hamiltonian (energies in GHz, i.e. E/h) is
 with f the external flux in units of the flux quantum.  It is expressed
 in the eigenbasis of the (ec, el) harmonic oscillator:
 
-    phi = phi_zpf (a + a^dag),   n = i n_zpf (a^dag - a),
+    phi = phi_zpf (a + a^dag),   n = i k,   k = n_zpf (a^dag - a),
     phi_zpf = (8 ec / el)^(1/4) / sqrt(2),  n_zpf = (el / 8 ec)^(1/4) / sqrt(2)
 
-and cos(phi) is evaluated exactly from the eigendecomposition of the
-real-symmetric phi, which stays accurate at large zero-point spread.
-Flux enters the inductive term; the alternative gauge (flux inside the
-cosine) gives the same spectrum, and only matrix-element magnitudes are
-exported, so the choice is observable-free.
+with k real and antisymmetric, so n^2 = k k^T.  Expanding the square,
+
+    H = h_osc - ej cos(phi) - (2 pi f el) phi,   h_osc = 4 ec k k^T + (el / 2) phi^2,
+
+is real symmetric and affine in f.  The constant (el / 2) (2 pi f)^2 is
+dropped: it shifts every level alike, so it cancels in every level
+spacing and in the basis-convergence check.  h_osc and cos(phi) are
+formed and symmetrized once per (ec, el, basis) and cached; cos(phi)
+comes exactly from the eigendecomposition of the real-symmetric phi,
+which stays accurate at large zero-point spread.  Flux enters the
+inductive term; the alternative gauge (flux inside the cosine) gives
+the same spectrum, and only matrix-element magnitudes are exported, so
+the choice is observable-free.
 
 The lowest three eigenstates are the working levels |1>, |2>, |3>;
-``t_ij`` denotes |<i| n |j>|, the charge coupling to a transmission line.
+``t_ij`` denotes |<i| n |j>| = |<i| k |j>|, the charge coupling to a
+transmission line.
 """
 
 from __future__ import annotations
@@ -105,27 +114,26 @@ class DecayEstimate:
 
 @lru_cache(maxsize=16)
 def _oscillator_ops(ec: float, el: float, n: int):
-    """(phi, charge, cos_phi) operators in the n-state oscillator basis."""
+    """Real (phi, k, h_osc, cos_phi) in the n-state oscillator basis; the
+    charge is n = i k and h_osc = 4 ec k k^T + (el / 2) phi^2."""
     phi_zpf = (8.0 * ec / el) ** 0.25 / np.sqrt(2.0)
     n_zpf = (el / (8.0 * ec)) ** 0.25 / np.sqrt(2.0)
     ladder = np.diag(np.sqrt(np.arange(1.0, n)), 1)
     phi = phi_zpf * (ladder + ladder.T)
-    charge = 1j * n_zpf * (ladder.T - ladder)
+    k = n_zpf * (ladder.T - ladder)
+    h_osc = 4.0 * ec * (k @ k.T) + 0.5 * el * (phi @ phi)
     w, v = np.linalg.eigh(phi)
     cos_phi = (v * np.cos(w)) @ v.T
-    return phi, charge, cos_phi
+    return phi, k, 0.5 * (h_osc + h_osc.T), 0.5 * (cos_phi + cos_phi.T)
 
 
 def build_device_hamiltonian(p: FluxoniumParams, flux: float,
                              basis_size: int | None = None) -> np.ndarray:
-    """Device Hamiltonian at one flux bias, Hermitian by final symmetrization."""
+    """Real, exactly symmetric device Hamiltonian at one flux bias, less
+    the level-independent constant (el / 2) (2 pi flux)^2."""
     n = p.basis_size if basis_size is None else int(basis_size)
-    phi, charge, cos_phi = _oscillator_ops(p.ec, p.el, n)
-    shifted = phi - (2.0 * np.pi * flux) * np.eye(n)
-    h = (4.0 * p.ec * (charge @ charge)
-         - p.ej * cos_phi
-         + 0.5 * p.el * (shifted @ shifted))
-    return 0.5 * (h + h.conj().T)
+    phi, _, h_osc, cos_phi = _oscillator_ops(p.ec, p.el, n)
+    return h_osc - p.ej * cos_phi - (2.0 * np.pi * flux * p.el) * phi
 
 
 def spectrum_at(p: FluxoniumParams, flux: float) -> FluxoniumSpectrum:
@@ -143,9 +151,9 @@ def spectrum_at(p: FluxoniumParams, flux: float) -> FluxoniumSpectrum:
         raise BasisTooSmall(
             f"lowest eigenvalues shift by {shift:.3e} GHz when the basis grows "
             f"from {p.basis_size} to {p.basis_size + BASIS_STEP}")
-    charge = _oscillator_ops(p.ec, p.el, p.basis_size)[1]
+    k = _oscillator_ops(p.ec, p.el, p.basis_size)[1]
     states = v[:, :3]
-    t = np.abs(states.conj().T @ charge @ states)
+    t = np.abs(states.conj().T @ k @ states)
     return FluxoniumSpectrum(
         flux=float(flux),
         levels=(0.0, float(w[1] - w[0]), float(w[2] - w[0])),

@@ -195,16 +195,6 @@ def steady_state(lv) -> np.ndarray:
     return validate_density_matrix(rho)
 
 
-def default_timestep(lv) -> float:
-    """Step of a conservative fixed-step RK4, 1e-3 / max(1, ||L||_inf).
-
-    :func:`propagate` does not step.  ``bench/spans.py`` converts each evolve
-    call into the steps a fixed-step RK4 at this step would take, its
-    ``lindblad.evolve.rk4_steps`` counter.
-    """
-    return 1e-3 / max(1.0, np.linalg.norm(lv, np.inf))
-
-
 def propagate(lv, rho0, times) -> np.ndarray:
     """Propagate ``rho0`` to each of ``times``: vec(rho(t)) = exp(L t) vec(rho0).
 

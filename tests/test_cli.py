@@ -168,6 +168,16 @@ class TestMainModes:
         assert "balanced_bias=0.07" in out
         assert (out_dir / "fluxonium.csv").exists()
 
+    def test_stock_fluxonium_summary(self, tmp_path, capsys):
+        # the full stock sweep and bisection: a moved bisection midpoint or
+        # coupling changes this line
+        out_dir = tmp_path / "out"
+        assert main(["--config", str(CONFIG_DIR / "fluxonium.ini"),
+                     "--out", str(out_dir)]) == 0
+        assert capsys.readouterr().out == (
+            f"fluxonium n=50 csv={out_dir / 'fluxonium.csv'} balanced_bias=0.07657 "
+            "decay_mhz=(g12=2.64,g13=25.4,g23=2.64)\n")
+
     def test_every_csv_cell_is_a_plain_float(self, tmp_path):
         # a numpy scalar's repr, e.g. np.float64(0.5), must not reach a CSV
         eit = MINIMAL_EIT + "\n[evolve]\nt = 1.0\n"

@@ -11,7 +11,7 @@ from delta_eita import (
     scale_decay_rates,
     spectrum_at,
 )
-from delta_eita.fluxonium import _bisect, write_fluxonium_csv
+from delta_eita.fluxonium import BASIS_STEP, _bisect, _oscillator_ops, write_fluxonium_csv
 from delta_eita.verify import realspace_levels
 
 DEVICE = FluxoniumParams(ej=9.0, ec=2.5, el=0.52)
@@ -38,8 +38,11 @@ class TestHarmonicLimit:
 
 class TestDeviceHamiltonian:
     def test_hermitian(self):
-        h = build_device_hamiltonian(DEVICE, 0.37)
-        assert np.max(np.abs(h - h.conj().T)) == 0.0
+        # real float64, and symmetric to the last bit
+        for basis_size in (None, 120):
+            h = build_device_hamiltonian(DEVICE, 0.37, basis_size=basis_size)
+            assert h.dtype == np.float64
+            assert np.array_equal(h, h.T)
 
     def test_basis_refinement_cauchy(self):
         w_small = np.linalg.eigvalsh(build_device_hamiltonian(DEVICE, 0.08))[:3]
@@ -62,6 +65,56 @@ class TestDeviceHamiltonian:
     def test_basis_size_minimum(self):
         with pytest.raises(ValueError):
             FluxoniumParams(ej=9.0, ec=2.5, el=0.52, basis_size=20)
+
+
+def direct_hamiltonian(p, flux, n):
+    """The device Hamiltonian formed term by term, as written: complex
+    charge i n_zpf (a^dag - a), the shifted-phase square including its
+    constant, and a final symmetrization."""
+    phi_zpf = (8.0 * p.ec / p.el) ** 0.25 / np.sqrt(2.0)
+    n_zpf = (p.el / (8.0 * p.ec)) ** 0.25 / np.sqrt(2.0)
+    ladder = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+    phi = phi_zpf * (ladder + ladder.T)
+    charge = 1j * n_zpf * (ladder.T - ladder)
+    w, v = np.linalg.eigh(phi)
+    cos_phi = (v * np.cos(w)) @ v.T
+    shifted = phi - (2.0 * np.pi * flux) * np.eye(n)
+    h = (4.0 * p.ec * (charge @ charge) - p.ej * cos_phi
+         + 0.5 * p.el * (shifted @ shifted))
+    return 0.5 * (h + h.conj().T), charge
+
+
+def observables(h, h_big, charge):
+    """Level spacings, |<i|charge|j>| of the lowest three states and the
+    lowest-three shift between the two bases."""
+    w, v = np.linalg.eigh(h)
+    w_big = np.linalg.eigvalsh(h_big)
+    states = v[:, :3]
+    t = np.abs(states.conj().T @ charge @ states)
+    return (np.array([w[1] - w[0], w[2] - w[0]]), t[[0, 0, 1], [1, 2, 2]],
+            np.max(np.abs(w[:3] - w_big[:3])))
+
+
+class TestCachedTermsMatchDirectForm:
+    # the stock device and two benchmark pool devices (one hot, one cold)
+    @pytest.mark.parametrize("p", [
+        DEVICE,
+        FluxoniumParams(ej=8.735, ec=2.473, el=0.55),
+        FluxoniumParams(ej=9.462, ec=2.348, el=0.543),
+    ], ids=["stock", "pool-d1", "pool-d10"])
+    @pytest.mark.parametrize("flux", [0.0, 0.08, 0.13, 0.37, 0.5])
+    def test_spacings_couplings_and_shift(self, p, flux):
+        n, big = p.basis_size, p.basis_size + BASIS_STEP
+        h, charge = direct_hamiltonian(p, flux, n)
+        want = observables(h, direct_hamiltonian(p, flux, big)[0], charge)
+        got = observables(build_device_hamiltonian(p, flux),
+                          build_device_hamiltonian(p, flux, basis_size=big),
+                          _oscillator_ops(p.ec, p.el, n)[1])
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b)) <= 1e-12
+        s = spectrum_at(p, flux)
+        assert np.max(np.abs(np.array(s.levels[1:]) - want[0])) <= 1e-12
+        assert np.max(np.abs(np.array([s.t12, s.t13, s.t23]) - want[1])) <= 1e-12
 
 
 class TestSpectrumSymmetries:

@@ -311,13 +311,6 @@ class TestValidateDensityMatrix:
             validate_density_matrix(rho)
 
 
-def test_default_timestep_formula(stock_drives, stock_dec):
-    from delta_eita.lindblad import default_timestep
-    lv = build_liouvillian(rotating_hamiltonian(stock_drives), stock_dec)
-    expected = 1e-3 / max(1.0, np.linalg.norm(lv, np.inf))
-    assert default_timestep(lv) == expected
-
-
 def test_evolve_uses_default_step(stock_drives, stock_dec):
     lv = build_liouvillian(rotating_hamiltonian(stock_drives), stock_dec)
     rho = evolve(lv, level_projector(3), 0.2)   # exact propagator, no step to choose
