@@ -211,9 +211,8 @@ def _bisect(fn, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def find_balanced_bias(p: FluxoniumParams, lo: float, hi: float,
-                       tol: float = 1e-5) -> float:
-    """Flux where t12 = t23, located by bisection to |dflux| <= tol.
+def find_balanced_bias(p: FluxoniumParams, lo: float, hi: float) -> float:
+    """Flux where t12 = t23, located by bisection to |dflux| <= 1e-5.
 
     Raises NoSignChange when t12 - t23 does not change sign on [lo, hi].
     """
@@ -222,7 +221,7 @@ def find_balanced_bias(p: FluxoniumParams, lo: float, hi: float,
         s = spectrum_at(p, flux)
         return s.t12 - s.t23
 
-    return _bisect(imbalance, lo, hi, tol)
+    return _bisect(imbalance, lo, hi, 1e-5)
 
 
 def scale_decay_rates(gamma_ref: float, t_ref: float,
@@ -240,13 +239,11 @@ def scale_decay_rates(gamma_ref: float, t_ref: float,
     )
 
 
-def write_fluxonium_csv(spectra, path, p: FluxoniumParams,
-                        extra_metadata: dict | None = None) -> None:
+def write_fluxonium_csv(spectra, path, p: FluxoniumParams) -> None:
     """Write a flux sweep as CSV with a ``#`` metadata preamble.
 
     Columns: flux, w1, w2 (GHz, relative to ground), t12, t13, t23.
     """
     meta = {"ej": p.ej, "ec": p.ec, "el": p.el, "basis_size": p.basis_size}
     rows = [(s.flux, s.w10, s.w20, s.t12, s.t13, s.t23) for s in spectra]
-    write_csv(path, ("flux", "w1", "w2", "t12", "t13", "t23"), np.array(rows).T,
-              meta | (extra_metadata or {}))
+    write_csv(path, ("flux", "w1", "w2", "t12", "t13", "t23"), np.array(rows).T, meta)

@@ -110,7 +110,9 @@ def build_liouvillian(h, dec: Decoherence) -> np.ndarray:
     ``h`` is one 3x3 Hamiltonian or a stack ``(m, 3, 3)``, which gives a
     stack ``(m, 9, 9)`` built with the same elementwise arithmetic as m
     single calls.  Raises NotHermitian if ``h`` (for a stack, its first
-    such member) is not Hermitian within 1e-10 elementwise.  The returned
+    such member) is not Hermitian within 1e-10 elementwise, and
+    InvariantViolation if rates or drive terms overflow so that the
+    generator has an entry that is not finite.  The returned
     matrix annihilates the trace from the left by construction
     (vec(I)^H L = 0).
     """
@@ -122,17 +124,20 @@ def build_liouvillian(h, dec: Decoherence) -> np.ndarray:
     if np.any(asym > DENSITY_HERMITICITY_TOL):
         k = int(np.argmax(asym > DENSITY_HERMITICITY_TOL))
         raise NotHermitian(f"Hamiltonian asymmetry {asym[k]:.3e}")
-    lv = -1j * (np.kron(_IDENTITY, h) - np.kron(ht, _IDENTITY))
-    lv += dec.gamma12 * _D12 + dec.gamma13 * _D13 + dec.gamma23 * _D23
-    if dec.gphi2 > 0.0:
-        lv += dec.gphi2 * _DPHI2
-    if dec.gphi3 > 0.0:
-        lv += dec.gphi3 * _DPHI3
+    # rates near 1e308 overflow in the sums: reported below, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        lv = -1j * (np.kron(_IDENTITY, h) - np.kron(ht, _IDENTITY))
+        lv += dec.gamma12 * _D12 + dec.gamma13 * _D13 + dec.gamma23 * _D23
+        if dec.gphi2 > 0.0:
+            lv += dec.gphi2 * _DPHI2
+        if dec.gphi3 > 0.0:
+            lv += dec.gphi3 * _DPHI3
+    if not np.all(np.isfinite(lv)):
+        raise InvariantViolation("Liouvillian is not finite: rates or drives overflow")
     return lv
 
 
 def validate_density_matrix(rho, trace_tol: float = DENSITY_TRACE_TOL,
-                            herm_tol: float = DENSITY_HERMITICITY_TOL,
                             eig_floor: float = DENSITY_EIGENVALUE_FLOOR) -> np.ndarray:
     """Check trace, Hermiticity and positivity; return the Hermitized state.
 
@@ -148,10 +153,10 @@ def validate_density_matrix(rho, trace_tol: float = DENSITY_TRACE_TOL,
     drift = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).reshape(-1)
     sym = 0.5 * (rho + adjoint)
     lowest = np.min(np.linalg.eigvalsh(sym), axis=-1).reshape(-1)
-    failed = (asym > herm_tol) | (drift > trace_tol) | (lowest < eig_floor)
+    failed = (asym > DENSITY_HERMITICITY_TOL) | (drift > trace_tol) | (lowest < eig_floor)
     if np.any(failed):
         k = int(np.argmax(failed))
-        if asym[k] > herm_tol:
+        if asym[k] > DENSITY_HERMITICITY_TOL:
             raise InvariantViolation(f"Hermiticity violated by {asym[k]:.3e}")
         if drift[k] > trace_tol:
             raise InvariantViolation(f"trace deviates from 1 by {drift[k]:.3e}")

@@ -6,13 +6,12 @@ Hermitian eigendecomposition.  Matrices are plain
 ``numpy.ndarray`` of complex128; the validation helpers enforce the finite-
 entries contract at the boundary.  The solve and the exponential take a
 stack ``(m, n, n)`` as well, and each member's result is bit for bit the
-one it gets alone.  The exponential is numpy alone; the solve opens
-LAPACK from scipy's wheel with ``ctypes`` but never imports scipy.
+one it gets alone.  The exponential is numpy alone; the solve loads
+scipy's LAPACK wrappers from their file but never imports scipy.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import importlib.machinery
 import importlib.util
@@ -68,28 +67,20 @@ def scale_complex(z, c: complex):
 
 
 @functools.cache
-def _getrf_getrs():
-    """LAPACK's ``zgetrf`` and ``zgetrs`` as ctypes functions.
+def _lapack():
+    """scipy's LAPACK wrappers, the extension ``scipy.linalg._flapack``.
 
-    They are taken from the LAPACK that scipy's wrappers
-    (``scipy.linalg._flapack``) link against, so they are the routines
-    behind ``scipy.linalg.lu_factor`` and ``lu_solve``, and the solutions
-    are theirs bit for bit.  The extension is opened as a shared library,
-    not imported, so the scipy package (~0.3 s of imports) is never loaded.
+    Its ``zgetrf`` and ``zgetrs`` are the callables behind
+    ``scipy.linalg.lu_factor`` and ``lu_solve``, so solutions through them
+    are theirs bit for bit.  The extension is loaded from its file on its
+    own, so the scipy package (~0.3 s of imports) is never imported.
     """
     linalg = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
                           "linalg")
-    paths = [os.path.join(linalg, "_flapack" + suffix)
-             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-    lib = ctypes.CDLL(next(path for path in paths if os.path.exists(path)))
-    # scipy's wheels bundle an OpenBLAS whose symbols carry a "scipy_" prefix
-    prefix = "scipy_" if hasattr(lib, "scipy_zgetrf_") else ""
-    getrf, getrs = getattr(lib, prefix + "zgetrf_"), getattr(lib, prefix + "zgetrs_")
-    getrf.argtypes = [ctypes.c_void_p] * 6
-    # the trailing size_t is the hidden Fortran length of the trans string
-    getrs.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 8 + [ctypes.c_size_t]
-    getrf.restype = getrs.restype = None
-    return getrf, getrs
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [linalg])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def solve_linear(a, b) -> np.ndarray:
@@ -97,10 +88,10 @@ def solve_linear(a, b) -> np.ndarray:
 
     ``a`` is ``(n, n)`` or a stack ``(m, n, n)``; the length-n right-hand
     side ``b`` is shared by every member, and ``x`` has shape
-    ``a.shape[:-1]``.  Each member is factored by LAPACK's ``zgetrf`` and
-    solved by ``zgetrs`` on its own, exactly as scipy's ``lu_factor`` and
-    ``lu_solve`` do (see :func:`_getrf_getrs`), so every member's solution
-    is bit for bit the one it gets alone.
+    ``a.shape[:-1]``.  Each member is factored by ``zgetrf`` and solved by
+    ``zgetrs`` on its own, through the wrappers scipy's ``lu_factor`` and
+    ``lu_solve`` call (see :func:`_lapack`), so every member's solution
+    is bit for bit the one it gets alone, and scipy's.
 
     Raises SingularMatrix when a member's smallest pivot falls below
     ``SINGULARITY_THRESHOLD`` relative to its largest entry; no member is
@@ -113,21 +104,11 @@ def solve_linear(a, b) -> np.ndarray:
         raise DimensionMismatch(
             f"rhs length {b.shape[0]} does not match matrix size {a.shape[-1]}")
     stack = a.reshape((-1,) + a.shape[-2:])
-    m, n, _ = stack.shape
-    getrf, getrs = _getrf_getrs()
-    # LAPACK is column-major: lu[k] holds member k transposed, a fresh copy
-    lu = np.array(np.swapaxes(stack, -1, -2), order="C")
-    piv = np.empty((m, n), dtype=np.int32)
-    x = np.empty((m, n), dtype=complex)
-    x[...] = b
-    ints = np.array([n, 1, 0], dtype=np.int32)  # n, nrhs, info
-    n_ptr, one_ptr, info_ptr = (ints.ctypes.data + ints.itemsize * i for i in range(3))
-    # the address of each member; an empty stack has stride 0
-    lu_k, piv_k, x_k = (range(arr.ctypes.data, arr.ctypes.data + arr.nbytes,
-                              max(arr.strides[0], 1)) for arr in (lu, piv, x))
-    for lu_ptr, piv_ptr in zip(lu_k, piv_k):
-        # an exactly zero pivot (info > 0) is left to the gate below
-        getrf(n_ptr, n_ptr, lu_ptr, n_ptr, piv_ptr, info_ptr)
+    lapack = _lapack()
+    # zgetrf factors a member in place only when it is column-major, so the
+    # copy is; an exactly zero pivot (info > 0) is left to the gate below
+    lu = np.swapaxes(np.swapaxes(stack, -1, -2).copy(), -1, -2)
+    piv = [lapack.zgetrf(member, overwrite_a=True)[1] for member in lu]
     scale = np.max(np.abs(stack), axis=(-2, -1))
     pivots = np.min(np.abs(np.diagonal(lu, axis1=-2, axis2=-1)), axis=-1)
     singular = (scale == 0.0) | (pivots < SINGULARITY_THRESHOLD * scale)
@@ -138,8 +119,7 @@ def solve_linear(a, b) -> np.ndarray:
         raise SingularMatrix(
             f"relative pivot {pivots[k] / scale[k]:.3e} below "
             f"{SINGULARITY_THRESHOLD:.0e}")
-    for lu_ptr, piv_ptr, x_ptr in zip(lu_k, piv_k, x_k):
-        getrs(b"N", n_ptr, one_ptr, lu_ptr, n_ptr, piv_ptr, x_ptr, n_ptr, info_ptr, 1)
+    x = np.array([lapack.zgetrs(m, p, b)[0] for m, p in zip(lu, piv)], dtype=complex)
     return x.reshape(a.shape[:-1])
 
 

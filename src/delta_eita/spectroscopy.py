@@ -195,7 +195,8 @@ def _sweep_block(drives: DriveSet, dec: Decoherence,
 
 
 def sweep_detuning(drives: DriveSet, dec: Decoherence, grid) -> SpectrumTable:
-    """Probe sweep over a finite, strictly increasing detuning grid.
+    """Probe sweep over a finite, strictly increasing detuning grid, on
+    which delta12 = delta13 - delta23 must be finite too (ValidationError).
 
     The grid is solved in stacked blocks of ``SWEEP_BLOCK`` detunings.
     When a block fails, its points are solved one by one, so the error
@@ -206,6 +207,12 @@ def sweep_detuning(drives: DriveSet, dec: Decoherence, grid) -> SpectrumTable:
     if grid.ndim != 1 or grid.size == 0:
         raise ValidationError("detuning grid must be a nonempty 1-d sequence")
     _check_grid(grid)
+    with np.errstate(over="ignore"):
+        delta12 = grid - drives.d23.detuning
+    if not np.all(np.isfinite(delta12)):
+        raise ValidationError(
+            f"delta12 = delta13 - delta23 is not finite at "
+            f"delta13={grid[np.argmin(np.isfinite(delta12))]:g}")
     rho31, pops = [], []
     for start in range(0, grid.size, SWEEP_BLOCK):
         block = grid[start:start + SWEEP_BLOCK]
@@ -477,10 +484,14 @@ def kramers_kronig_residual(table: SpectrumTable) -> float:
     transform of absorption.
 
     Returns max|Re - H(Im) - c| / max|Re| with c the constant offset that
-    minimizes the maximum deviation.  Raises WindowTooNarrow when |Im| at
-    either grid end exceeds 5% of its maximum (tails not contained).
+    minimizes the maximum deviation, and ``inf`` when Re vanishes but Im
+    does not.  Raises InsufficientResolution for fewer than 3 rows and
+    WindowTooNarrow when |Im| at either grid end exceeds 5% of its maximum
+    (tails not contained).
     """
     x = table.detunings
+    if len(x) < 3:
+        raise InsufficientResolution("need at least 3 grid points")
     im = table.absorption
     re = table.dispersion
     peak = np.max(np.abs(im))
@@ -493,7 +504,8 @@ def kramers_kronig_residual(table: SpectrumTable) -> float:
     transform = hilbert_transform(im, x)
     dev = re - transform
     offset = 0.5 * (np.max(dev) + np.min(dev))
-    return float(np.max(np.abs(dev - offset)) / np.max(np.abs(re)))
+    scale = np.max(np.abs(re))
+    return float(np.max(np.abs(dev - offset)) / scale) if scale > 0.0 else np.inf
 
 
 def population_inversion_scan(table: SpectrumTable) -> tuple[float, float]:

@@ -254,6 +254,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "numerical error: propagator exp(L t) is not finite at t=5e+57\n"
 
+    def test_overflowing_delta12_is_validation_error(self, tmp_path, capsys):
+        # delta12 = delta13 - delta23 = -1e308 - 1e308 is not finite
+        text = (MINIMAL_EIT.replace("[drives.d23]\nmagnitude = 1.0\ndetuning = 0.0",
+                                    "[drives.d23]\nmagnitude = 1.0\ndetuning = 1e308")
+                .replace("lo = -2.0\nhi = 2.0", "lo = -1e308\nhi = 0.0"))
+        cfg = self.write(tmp_path, text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: delta12 = delta13 - delta23 is not finite at delta13=-1e+308\n")
+
+    @pytest.mark.parametrize("mode, prefix", [
+        ("steady", ""), ("sweep", "at delta13=-2: "), ("evolve", "")])
+    def test_overflowing_rates_are_numerical_errors(self, tmp_path, capsys, mode, prefix):
+        # the rates of level 3 sum to 2e308 in the Liouvillian; with warnings
+        # as errors, an overflow warning would fail this test
+        text = MINIMAL_EIT.replace("gamma12 = 0.1\ngamma13 = 1.0\ngamma23 = 0.1",
+                                   "gamma12 = 1e308\ngamma13 = 1e308\ngamma23 = 1e308")
+        cfg = self.write(tmp_path, text)
+        assert main(["--config", cfg, "--mode", mode, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            f"numerical error: {prefix}Liouvillian is not finite: rates or drives overflow\n")
+
     @pytest.mark.parametrize("text", [
         MINIMAL_EIT.replace("lo = -2.0", "lo = -inf"),
         MINIMAL_EIT.replace("hi = 2.0", "hi = inf"),

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from delta_eita import build_liouvillian, numerics, rotating_hamiltonian, sweep_
 from delta_eita.config import parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = CONFIG_DIR.parent / "src"
 
 
 def random_complex(rng, shape):
@@ -79,6 +83,10 @@ class TestSolveLinear:
         with pytest.raises(SingularMatrix, match="^zero matrix$"):
             numerics.solve_linear(np.stack([good, np.zeros((9, 9)), singular]), b)
 
+    def test_empty_stack(self):
+        x = numerics.solve_linear(np.zeros((0, 9, 9)), np.ones(9))
+        assert x.shape == (0, 9) and x.dtype == complex
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             numerics.solve_linear(np.eye(3), [1.0, 2.0])
@@ -127,6 +135,38 @@ class TestSolveLinearAgainstScipy:
         with pytest.raises(SingularMatrix) as err:
             numerics.solve_linear(stack, np.ones(9))
         assert str(err.value) == f"relative pivot {expected:.3e} below 1e-12"
+
+    def test_sweep_solved_before_scipy_is_imported(self):
+        # the CLI solves with scipy not imported; the oracle tests above run
+        # after this file's scipy import, so check that state in a fresh
+        # interpreter
+        code = f"""
+import sys
+import numpy as np
+from delta_eita import numerics, sweep_detuning
+from delta_eita.config import parse_config
+cfg = parse_config(open({str(CONFIG_DIR / "eita.ini")!r}, encoding="utf-8").read())
+solved, solve = [], numerics.solve_linear
+
+def spy(a, b):
+    solved.append((a, b, solve(a, b)))
+    return solved[-1][2]
+
+numerics.solve_linear = spy
+sweep_detuning(cfg.drives, cfg.dec, cfg.grid())
+assert "scipy" not in sys.modules
+from scipy.linalg import lu_factor, lu_solve
+for a, b, x in solved:
+    np.testing.assert_array_equal(
+        x, lu_solve(lu_factor(a, check_finite=False), b[:, None], check_finite=False)[..., 0])
+print(sum(len(a) for a, _, _ in solved))
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "801\n"
 
     @pytest.mark.parametrize("first, second", [(1 + 1j, 2.0), (2.0, 1 + 1j)],
                              ids=["complex-first", "real-first"])

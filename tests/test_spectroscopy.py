@@ -592,6 +592,19 @@ class TestKramersKronig:
         table = make_table(grid, np.zeros_like(grid) * 1j)
         assert kramers_kronig_residual(table) == 0.0
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_rows(self, n):
+        grid = np.linspace(-1.0, 1.0, n)
+        table = make_table(grid, 1j / (grid ** 2 + 1.0))
+        with pytest.raises(InsufficientResolution, match="^need at least 3 grid points$"):
+            kramers_kronig_residual(table)
+
+    def test_vanishing_dispersion_is_infinitely_far(self):
+        # with warnings as errors, a division by max|Re| = 0 would fail this test
+        grid = np.linspace(-50.0, 50.0, 4001)
+        table = make_table(grid, 1j / (grid ** 2 + 1.0))
+        assert kramers_kronig_residual(table) == np.inf
+
     def test_causal_lorentzian_pair(self):
         grid = np.linspace(-50.0, 50.0, 4001)
         pair = (-grid + 1j) / (grid ** 2 + 1.0)
