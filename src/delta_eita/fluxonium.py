@@ -67,6 +67,8 @@ class FluxoniumParams:
             if not np.isfinite(v) or v <= 0.0:
                 raise ValueError(f"{name} must be > 0, got {v}")
             object.__setattr__(self, name, v)
+        if not float(self.basis_size).is_integer():
+            raise ValueError(f"basis_size must be a whole number, got {self.basis_size}")
         if int(self.basis_size) < 30:
             raise ValueError(f"basis_size must be >= 30, got {self.basis_size}")
         object.__setattr__(self, "basis_size", int(self.basis_size))

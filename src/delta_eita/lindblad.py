@@ -104,36 +104,71 @@ _DPHI2 = dissipator_superop(SIGMA22)
 _DPHI3 = dissipator_superop(SIGMA33)
 
 
+def _rate_terms(dec: Decoherence) -> list[np.ndarray]:
+    """The dissipator superoperators of ``dec``, in the order the
+    generator adds them: the decay sum, then each nonzero dephasing."""
+    terms = [dec.gamma12 * _D12 + dec.gamma13 * _D13 + dec.gamma23 * _D23]
+    if dec.gphi2 > 0.0:
+        terms.append(dec.gphi2 * _DPHI2)
+    if dec.gphi3 > 0.0:
+        terms.append(dec.gphi3 * _DPHI3)
+    return terms
+
+
 def build_liouvillian(h, dec: Decoherence) -> np.ndarray:
     """Assemble the 9x9 generator for Hamiltonian ``h`` and rates ``dec``.
 
-    ``h`` is one 3x3 Hamiltonian or a stack ``(m, 3, 3)``, which gives a
-    stack ``(m, 9, 9)`` built with the same elementwise arithmetic as m
-    single calls.  Raises NotHermitian if ``h`` (for a stack, its first
-    such member) is not Hermitian within 1e-10 elementwise, and
-    InvariantViolation if rates or drive terms overflow so that the
-    generator has an entry that is not finite.  The returned
+    Raises NotHermitian if ``h`` is not Hermitian within 1e-10
+    elementwise, and InvariantViolation if rates or drive terms overflow
+    so that the generator has an entry that is not finite.  The returned
     matrix annihilates the trace from the left by construction
     (vec(I)^H L = 0).
     """
-    h = numerics.as_complex_matrix(h, stack=True)
-    if h.shape[-2:] != (DIM, DIM):
+    h = numerics.as_complex_matrix(h)
+    if h.shape != (DIM, DIM):
         raise DimensionMismatch(f"expected 3x3 Hamiltonian, got {h.shape}")
-    ht = np.swapaxes(h, -1, -2)
-    asym = np.max(np.abs(h - ht.conj()), axis=(-2, -1)).reshape(-1)
-    if np.any(asym > DENSITY_HERMITICITY_TOL):
-        k = int(np.argmax(asym > DENSITY_HERMITICITY_TOL))
-        raise NotHermitian(f"Hamiltonian asymmetry {asym[k]:.3e}")
+    asym = np.max(np.abs(h - h.T.conj()))
+    if asym > DENSITY_HERMITICITY_TOL:
+        raise NotHermitian(f"Hamiltonian asymmetry {asym:.3e}")
     # rates near 1e308 overflow in the sums: reported below, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
-        lv = -1j * (np.kron(_IDENTITY, h) - np.kron(ht, _IDENTITY))
-        lv += dec.gamma12 * _D12 + dec.gamma13 * _D13 + dec.gamma23 * _D23
-        if dec.gphi2 > 0.0:
-            lv += dec.gphi2 * _DPHI2
-        if dec.gphi3 > 0.0:
-            lv += dec.gphi3 * _DPHI3
+        lv = -1j * (np.kron(_IDENTITY, h) - np.kron(h.T, _IDENTITY))
+        for term in _rate_terms(dec):
+            lv += term
     if not np.all(np.isfinite(lv)):
         raise InvariantViolation("Liouvillian is not finite: rates or drives overflow")
+    return lv
+
+
+#: Diagonal position 3a + b of L holds -i (h_bb - h_aa), the rate of rho[b, a].
+_DIAG_A, _DIAG_B = np.divmod(np.arange(DIM * DIM), DIM)
+
+
+def build_liouvillian_block(h, diagonals, dec: Decoherence) -> np.ndarray:
+    """Generators of ``h`` with its diagonal replaced by each row of the
+    real ``(m, 3)`` array ``diagonals``, as an ``(m, 9, 9)`` stack.
+
+    Each member is bit for bit ``build_liouvillian`` of its own
+    Hamiltonian and raises as that would.  L reads the diagonal of H by
+    value only on its own diagonal, -i (h_bb - h_aa) at 3a + b; elsewhere
+    only through products 0 * h_aa, zeros whose sign the decay sum drops
+    by adding +0 or a positive rate to every off-diagonal entry.  So each
+    member is the template ``build_liouvillian`` of ``h`` with a zero
+    diagonal, with its 9 diagonal entries written by that function's
+    operations.
+    """
+    h = numerics.as_complex_matrix(h).copy()
+    np.fill_diagonal(h, 0.0)
+    hd = np.asarray(diagonals, dtype=float).astype(complex)
+    lv = np.repeat(build_liouvillian(h, dec)[None], len(hd), axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = -1j * (hd[:, _DIAG_B] - hd[:, _DIAG_A])
+        for term in _rate_terms(dec):
+            diag += term.diagonal()
+    if not np.all(np.isfinite(diag)):
+        raise InvariantViolation("Liouvillian is not finite: rates or drives overflow")
+    i = np.arange(DIM * DIM)
+    lv[:, i, i] = diag
     return lv
 
 
@@ -190,8 +225,10 @@ def steady_state(lv) -> np.ndarray:
     except SingularMatrix as exc:
         raise DegenerateSteadyState(f"singular steady-state solve: {exc}") from exc
     residual = np.max(np.abs((lv @ x[..., None])[..., 0]), axis=-1).reshape(-1)
-    if np.any(residual > STEADY_STATE_RESIDUAL):
-        k = int(np.argmax(residual > STEADY_STATE_RESIDUAL))
+    # "not within bound", so that a solve that overflowed to NaN fails too
+    failed = ~(residual <= STEADY_STATE_RESIDUAL)
+    if np.any(failed):
+        k = int(np.argmax(failed))
         raise DegenerateSteadyState(
             f"steady-state residual {residual[k]:.3e} exceeds "
             f"{STEADY_STATE_RESIDUAL:.0e} (nullity > 1?)")

@@ -70,9 +70,8 @@ def scale_complex(z, c: complex):
 def _lapack():
     """scipy's LAPACK wrappers, the extension ``scipy.linalg._flapack``.
 
-    Its ``zgetrf`` and ``zgetrs`` are the callables behind
-    ``scipy.linalg.lu_factor`` and ``lu_solve``, so solutions through them
-    are theirs bit for bit.  The extension is loaded from its file on its
+    Its ``zgesv`` is the LAPACK driver that factors by ``zgetrf`` and
+    solves by ``zgetrs``.  The extension is loaded from its file on its
     own, so the scipy package (~0.3 s of imports) is never imported.
     """
     linalg = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
@@ -88,15 +87,18 @@ def solve_linear(a, b) -> np.ndarray:
 
     ``a`` is ``(n, n)`` or a stack ``(m, n, n)``; the length-n right-hand
     side ``b`` is shared by every member, and ``x`` has shape
-    ``a.shape[:-1]``.  Each member is factored by ``zgetrf`` and solved by
-    ``zgetrs`` on its own, through the wrappers scipy's ``lu_factor`` and
-    ``lu_solve`` call (see :func:`_lapack`), so every member's solution
-    is bit for bit the one it gets alone, and scipy's.
+    ``a.shape[:-1]``.  Each member is factored and solved on its own by
+    one ``zgesv`` call (see :func:`_lapack`), so every member's solution
+    is bit for bit the one it gets alone.  OpenBLAS solves systems this
+    small in ``zgesv`` on one thread, so the bits do not depend on the
+    BLAS thread count; they are those of scipy's ``lu_factor`` and
+    ``lu_solve`` on one thread (on more, OpenBLAS's ``zgetrs`` takes a
+    parallel triangular solve that rounds differently).
 
     Raises SingularMatrix when a member's smallest pivot falls below
-    ``SINGULARITY_THRESHOLD`` relative to its largest entry; no member is
-    solved then.  For a stack the message is that of the first such
-    member, as if solved alone.
+    ``SINGULARITY_THRESHOLD`` relative to its largest entry, once every
+    member is solved and before any solution is returned.  For a stack
+    the message is that of the first such member, as if solved alone.
     """
     a = as_complex_matrix(a, stack=True)
     b = as_complex_vector(b)
@@ -104,11 +106,14 @@ def solve_linear(a, b) -> np.ndarray:
         raise DimensionMismatch(
             f"rhs length {b.shape[0]} does not match matrix size {a.shape[-1]}")
     stack = a.reshape((-1,) + a.shape[-2:])
-    lapack = _lapack()
-    # zgetrf factors a member in place only when it is column-major, so the
-    # copy is; an exactly zero pivot (info > 0) is left to the gate below
+    gesv = _lapack().zgesv
+    # zgesv factors a member in place only when it is column-major, so the
+    # copy is, and solves into its row of x; an exactly zero pivot
+    # (info > 0) is left to the gate below
     lu = np.swapaxes(np.swapaxes(stack, -1, -2).copy(), -1, -2)
-    piv = [lapack.zgetrf(member, overwrite_a=True)[1] for member in lu]
+    x = np.repeat(b[None], len(lu), axis=0)
+    for k, member in enumerate(lu):
+        x[k] = gesv(member, x[k], overwrite_a=True, overwrite_b=True)[2]
     scale = np.max(np.abs(stack), axis=(-2, -1))
     pivots = np.min(np.abs(np.diagonal(lu, axis1=-2, axis2=-1)), axis=-1)
     singular = (scale == 0.0) | (pivots < SINGULARITY_THRESHOLD * scale)
@@ -119,7 +124,6 @@ def solve_linear(a, b) -> np.ndarray:
         raise SingularMatrix(
             f"relative pivot {pivots[k] / scale[k]:.3e} below "
             f"{SINGULARITY_THRESHOLD:.0e}")
-    x = np.array([lapack.zgetrs(m, p, b)[0] for m, p in zip(lu, piv)], dtype=complex)
     return x.reshape(a.shape[:-1])
 
 

@@ -178,6 +178,31 @@ class TestMainModes:
             f"fluxonium n=50 csv={out_dir / 'fluxonium.csv'} balanced_bias=0.07657 "
             "decay_mhz=(g12=2.64,g13=25.4,g23=2.64)\n")
 
+    def test_stock_phase_scan_summary(self, tmp_path, capsys):
+        # min_inversion at pi/2 and 3pi/2 and the window centre at pi/2 are
+        # mirror ties between +-delta decided in the last bit of the solve:
+        # a solver that rounds differently can flip their signs
+        out_dir = tmp_path / "out"
+        assert main(["--config", str(CONFIG_DIR / "phase_scan.ini"),
+                     "--out", str(out_dir)]) == 0
+        tail = "split_estimate=[-0.5,+0.5] fwhm_estimate=1.009 csv="
+        assert capsys.readouterr().out == "".join(
+            f"phase-sweep phi={phi} n=801 {line} {tail}"
+            f"{out_dir / f'phase_scan_phi{phi}.csv'}\n" for phi, line in [
+                ("0.0000", "class=EITA peaks=[-0.5037:+0.2135 +0.2628:-0.03505 "
+                           "+0.7721:+0.03426] window_center=+0.0343 fwhm=0.3997 "
+                           "min_inversion=0.7249@-0.43"),
+                ("1.5708", "class=ABSORPTION peaks=[-0.2794:+0.1988 +0:+0.1847 "
+                           "+0.2794:+0.1988] window_center=-0.2794 fwhm=1.229 "
+                           "min_inversion=0.8551@-0.43"),
+                ("3.1416", "class=EITA peaks=[-0.7721:+0.03426 -0.2628:-0.03505 "
+                           "+0.5037:+0.2135] window_center=-0.0343 fwhm=0.3997 "
+                           "min_inversion=0.7249@+0.43"),
+                ("4.7124", "class=AMPLIFICATION_WINDOW peaks=[-0.6462:+0.1492 "
+                           "+0:-0.1241 +0.6462:+0.1492] window_center=+0 fwhm=0 "
+                           "min_inversion=0.7782@-0.38"),
+            ])
+
     def test_every_csv_cell_is_a_plain_float(self, tmp_path):
         # a numpy scalar's repr, e.g. np.float64(0.5), must not reach a CSV
         eit = MINIMAL_EIT + "\n[evolve]\nt = 1.0\n"

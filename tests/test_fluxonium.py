@@ -62,6 +62,16 @@ class TestDeviceHamiltonian:
         assert abs(s.w10 - w10) <= 1e-4
         assert abs(s.w20 - w20) <= 1e-4
 
+    @pytest.mark.parametrize("size", [100.9, 30.5, float("nan"), float("inf")])
+    def test_basis_size_must_be_whole(self, size):
+        with pytest.raises(ValueError, match="basis_size must be a whole number"):
+            FluxoniumParams(ej=9.0, ec=2.5, el=0.52, basis_size=size)
+
+    @pytest.mark.parametrize("size", [100, 100.0, np.int64(100), np.float64(100.0)])
+    def test_basis_size_whole_numbers_are_kept(self, size):
+        p = FluxoniumParams(ej=9.0, ec=2.5, el=0.52, basis_size=size)
+        assert p.basis_size == 100 and type(p.basis_size) is int
+
     def test_basis_size_minimum(self):
         with pytest.raises(ValueError):
             FluxoniumParams(ej=9.0, ec=2.5, el=0.52, basis_size=20)

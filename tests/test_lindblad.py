@@ -18,7 +18,12 @@ from delta_eita import (
     validate_density_matrix,
     vectorize,
 )
-from delta_eita.lindblad import ground_state, level_projector, maximally_mixed
+from delta_eita.lindblad import (
+    build_liouvillian_block,
+    ground_state,
+    level_projector,
+    maximally_mixed,
+)
 
 
 def unit(i, j):
@@ -131,7 +136,51 @@ class TestBuildLiouvillian:
             assert np.max(np.abs(drho - drho.conj().T)) <= 1e-12
 
 
+class TestLiouvillianBlock:
+    # zero magnitudes with these phases give h entries with -0 parts
+    @pytest.mark.parametrize("drives", [
+        DriveSet(Drive(0.2), Drive(0.2), Drive(1.0)),
+        DriveSet(Drive(0.0, 5.5), Drive(0.3, 0.7), Drive(0.0, 2.0, 0.3)),
+        DriveSet(Drive(0.0), Drive(0.0, 4.0), Drive(0.0)),
+    ], ids=["stock", "signed-zeros", "undriven"])
+    @pytest.mark.parametrize("dec", [
+        Decoherence(gamma12=0.1, gamma13=1.0, gamma23=0.1),
+        Decoherence(gamma12=0.0, gamma13=1.0, gamma23=0.0, gphi2=0.05, gphi3=0.2),
+        Decoherence(gamma12=5e-324, gamma13=0.0, gamma23=0.3, gphi3=1e-300),
+    ], ids=["decay", "dephasing", "tiny-rates"])
+    def test_members_are_single_builds(self, rng, drives, dec):
+        h = rotating_hamiltonian(drives)
+        diagonals = rng.normal(size=(60, 3))
+        diagonals[::4] = 0.0
+        diagonals[1::4] = -0.0
+        diagonals[2::4, 1:] *= -0.0
+        lv = build_liouvillian_block(h, diagonals, dec)
+        for d, member in zip(diagonals, lv):
+            np.fill_diagonal(h, d)
+            assert member.tobytes() == build_liouvillian(h, dec).tobytes()
+
+    def test_overflowing_member_raises_as_alone(self, stock_drives, stock_dec):
+        h = rotating_hamiltonian(stock_drives)
+        diagonals = np.array([[0.0, 0.3, 0.2], [0.0, 1e308, -1e308]])
+        np.fill_diagonal(h, diagonals[1])
+        with pytest.raises(InvariantViolation) as alone:
+            build_liouvillian(h, stock_dec)
+        with pytest.raises(InvariantViolation) as block:
+            build_liouvillian_block(h, diagonals, stock_dec)
+        assert str(block.value) == str(alone.value)
+
+
 class TestSteadyState:
+    def test_solve_overflowing_to_nan_is_degenerate(self):
+        # at |delta13| = 1.79e308 these pivots pass the gate, but the
+        # triangular solve overflows and leaves NaN in the solution
+        drives = DriveSet(Drive(0.0, 4.5), Drive(0.42, 5.44), Drive(0.0, 1.96, 0.64))
+        dec = Decoherence(gamma12=0.29, gamma13=0.45, gamma23=0.28, gphi2=0.44, gphi3=0.15)
+        for delta13 in (1.79e308, -1.79e308):
+            lv = build_liouvillian(rotating_hamiltonian(drives.with_probe_detuning(delta13)), dec)
+            with pytest.raises(DegenerateSteadyState, match="^steady-state residual nan exceeds"):
+                steady_state(lv)
+
     def test_undriven_relaxes_to_ground(self):
         dec = Decoherence(gamma12=0.1, gamma13=1.0, gamma23=0.1)
         drives = DriveSet(Drive(0.0), Drive(0.0), Drive(0.0))

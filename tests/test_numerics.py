@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
 
 from delta_eita import DimensionMismatch, NotHermitian, SingularMatrix
 from delta_eita import build_liouvillian, numerics, rotating_hamiltonian, sweep_detuning
@@ -105,26 +105,72 @@ class TestSolveLinear:
             numerics.solve_linear(np.stack([passes, fails, np.zeros((9, 9))]), b)
 
 
-def lu_factor_solution(stack, b):
-    return lu_solve(lu_factor(stack, check_finite=False), b[:, None],
-                    check_finite=False)[..., 0]
+#: BLAS threads of a fresh interpreter: on more than one, OpenBLAS's
+#: ``zgetrs`` behind ``lu_solve`` takes a parallel triangular solve that
+#: rounds differently from ``solve_linear``
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def run_python(code: str, **env) -> str:
+    """stdout of ``code`` in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def lu_factor_solutions(systems, tmp_path) -> list[np.ndarray]:
+    """scipy's ``lu_factor``/``lu_solve`` solution of each ``(stack, rhs)``,
+    computed with the BLAS on one thread."""
+    np.savez(tmp_path / "systems.npz", *[m for system in systems for m in system])
+    run_python(f"""
+import numpy as np
+from scipy.linalg import lu_factor, lu_solve
+z = np.load({str(tmp_path / "systems.npz")!r})
+m = [z[f"arr_{{k}}"] for k in range(len(z.files))]
+np.savez({str(tmp_path / "solutions.npz")!r}, *[
+    lu_solve(lu_factor(a, check_finite=False), b[:, None], check_finite=False)[..., 0]
+    for a, b in zip(m[::2], m[1::2])])
+""", **ONE_BLAS_THREAD)
+    z = np.load(tmp_path / "solutions.npz")
+    return [z[f"arr_{k}"] for k in range(len(systems))]
 
 
 class TestSolveLinearAgainstScipy:
-    """scipy's ``lu_factor``/``lu_solve`` as a test-only oracle."""
+    """scipy's ``lu_factor``/``lu_solve`` on one BLAS thread as a test-only
+    oracle."""
 
-    def test_solutions_on_stock_sweep(self, stock_sweep_systems):
+    def test_solutions_on_stock_sweep(self, stock_sweep_systems, tmp_path):
         # the CSVs and the mirror-tie stdout lines rely on equality, not closeness
-        for stack, b in stock_sweep_systems:
-            np.testing.assert_array_equal(numerics.solve_linear(stack, b),
-                                          lu_factor_solution(stack, b))
+        expected = lu_factor_solutions(stock_sweep_systems, tmp_path)
+        for (stack, b), x in zip(stock_sweep_systems, expected):
+            np.testing.assert_array_equal(numerics.solve_linear(stack, b), x)
 
-    def test_solutions_on_random_stacks(self, rng):
-        for shape in [(500, 9, 9), (50, 4, 4), (9, 9)]:
-            stack = random_complex(rng, shape)
-            b = random_complex(rng, shape[-1])
-            np.testing.assert_array_equal(numerics.solve_linear(stack, b),
-                                          lu_factor_solution(stack, b))
+    def test_solutions_on_random_stacks(self, rng, tmp_path):
+        systems = [(random_complex(rng, shape), random_complex(rng, shape[-1]))
+                   for shape in [(500, 9, 9), (50, 4, 4), (9, 9)]]
+        for (stack, b), x in zip(systems, lu_factor_solutions(systems, tmp_path)):
+            np.testing.assert_array_equal(numerics.solve_linear(stack, b), x)
+
+    def test_solutions_do_not_depend_on_blas_threads(self):
+        # on a single-CPU host every thread count runs one thread
+        code = f"""
+import hashlib
+import numpy as np
+from delta_eita import numerics, sweep_detuning
+from delta_eita.config import parse_config
+cfg = parse_config(open({str(CONFIG_DIR / "eita.ini")!r}, encoding="utf-8").read())
+rng = np.random.default_rng(7)
+stack = rng.normal(size=(200, 9, 9)) + 1j * rng.normal(size=(200, 9, 9))
+digest = hashlib.sha256(numerics.solve_linear(stack, rng.normal(size=9)).tobytes())
+digest.update(sweep_detuning(cfg.drives, cfg.dec, cfg.grid()).rho31.tobytes())
+print(digest.hexdigest())
+"""
+        digests = {threads: run_python(code, **dict.fromkeys(ONE_BLAS_THREAD, threads))
+                   for threads in ("1", "2", "4")}
+        assert len(set(digests.values())) == 1, digests
 
     def test_gate_reports_the_pivot_of_lu_factor(self, rng):
         stack = random_complex(rng, (20, 9, 9))
@@ -161,12 +207,7 @@ for a, b, x in solved:
         x, lu_solve(lu_factor(a, check_finite=False), b[:, None], check_finite=False)[..., 0])
 print(sum(len(a) for a, _, _ in solved))
 """
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "801\n"
+        assert run_python(code, **ONE_BLAS_THREAD) == "801\n"
 
     @pytest.mark.parametrize("first, second", [(1 + 1j, 2.0), (2.0, 1 + 1j)],
                              ids=["complex-first", "real-first"])

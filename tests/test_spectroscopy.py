@@ -196,6 +196,14 @@ def lorentzian_spectrum(points, lines, digits=None):
     return make_table(grid, 0.3 + 1j * y)
 
 
+def succeeds(f, *args) -> bool:
+    try:
+        f(*args)
+    except DeltaEitaError:
+        return False
+    return True
+
+
 def assert_same_table(a, b):
     """Drives, rates and every column equal bit for bit (signed zeros too)."""
     assert (a.drives, a.dec) == (b.drives, b.dec)
@@ -348,17 +356,37 @@ class TestStackedSweep:
         assert_same_table(sweep_detuning(drives, dec, grid),
                           per_point_table(drives, dec, grid))
 
-    @settings(max_examples=10, deadline=None, derandomize=True)
-    @given(delta23=st.floats(-1.0, -0.05) | st.floats(0.05, 1.0),
-           gphi2=st.floats(0.01, 0.5), gphi3=st.floats(0.01, 0.5),
-           phases=st.tuples(*[st.floats(0.1, 6.2)] * 3))
-    def test_equals_per_point_with_dephasing_and_phases(self, delta23, gphi2, gphi3, phases):
-        phi12, phi13, phi23 = phases
-        drives = DriveSet(Drive(0.0, phi12), Drive(0.2, phi13), Drive(1.0, phi23, delta23))
-        dec = Decoherence(gamma12=0.1, gamma13=1.0, gamma23=0.1, gphi2=gphi2, gphi3=gphi3)
-        grid = np.linspace(-4.0, 4.0, SWEEP_BLOCK + 3)
-        assert_same_table(sweep_detuning(drives, dec, grid),
-                          per_point_table(drives, dec, grid))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(magnitudes=st.tuples(*[st.floats(0.0, 2.0)] * 3),
+           phases=st.tuples(st.floats(0.0, 6.2), st.floats(0.1, 6.2), st.floats(0.0, 6.2)),
+           delta23=st.floats(-1.0, -0.05) | st.floats(0.05, 1.0),
+           rates=st.tuples(st.floats(0.01, 0.3), st.floats(0.2, 2.0), st.floats(0.0, 0.3),
+                           st.floats(0.01, 0.5), st.floats(0.01, 0.5)),
+           points=st.integers(SWEEP_BLOCK + 1, 2 * SWEEP_BLOCK + 2),
+           seed=st.integers(0, 2**32 - 1),
+           bad=st.sampled_from([None, None, None, 1e13, 1.7e308, -1e150]))
+    def test_equals_per_point_with_dephasing_and_phases(self, magnitudes, phases, delta23,
+                                                        rates, points, seed, bad):
+        # a non-uniform grid over two block edges, through 0 and delta23,
+        # where the Hamiltonian's diagonal entries change sign, and maybe a
+        # degenerate far detuning in the first or the last block
+        drives = DriveSet(*[Drive(m, phi) for m, phi in zip(magnitudes[:2], phases[:2])],
+                          Drive(magnitudes[2], phases[2], delta23))
+        dec = Decoherence(*rates)
+        steps = np.random.default_rng(seed).uniform(1e-3, 0.05, points)
+        grid = np.unique(np.append(np.cumsum(steps) - 0.5 * np.sum(steps), [0.0, delta23]))
+        if bad is not None:
+            grid = np.append(grid, bad) if bad > 0.0 else np.insert(grid, 0, bad)
+        try:
+            expected = per_point_table(drives, dec, grid)
+        except DeltaEitaError as exc:
+            failed = next(d for d in grid if not succeeds(probe_response, drives, dec, d))
+            with pytest.raises(type(exc)) as stacked:
+                sweep_detuning(drives, dec, grid)
+            assert str(stacked.value) == f"at delta13={failed:g}: {exc}"
+        else:
+            assert bad is None
+            assert_same_table(sweep_detuning(drives, dec, grid), expected)
 
     def test_degenerate_error_names_first_point(self):
         # level 3 disconnected: every point is degenerate, the first one raises
@@ -604,6 +632,12 @@ class TestKramersKronig:
         grid = np.linspace(-50.0, 50.0, 4001)
         table = make_table(grid, 1j / (grid ** 2 + 1.0))
         assert kramers_kronig_residual(table) == np.inf
+
+    def test_dispersion_without_absorption_is_not_causal(self):
+        # H(0) = 0, so the whole antisymmetric Re is the deviation
+        grid = np.linspace(-20.0, 20.0, 401)
+        table = make_table(grid, -grid / (grid ** 2 + 1.0) + 0j)
+        assert kramers_kronig_residual(table) == 1.0
 
     def test_causal_lorentzian_pair(self):
         grid = np.linspace(-50.0, 50.0, 4001)
