@@ -172,6 +172,40 @@ def build_liouvillian_block(h, diagonals, dec: Decoherence) -> np.ndarray:
     return lv
 
 
+#: Relative margin of the positivity certificate: a member is cleared when
+#: S - (floor + margin * max|S_ij|) I has a Cholesky factor.  Four orders
+#: above the backward errors of that factorization and of ``eigvalsh``.
+_CERTIFICATE_MARGIN = 1e-10
+
+
+def _cholesky_clears(sym, floor: float) -> np.ndarray:
+    """Members of the Hermitian stack ``sym`` ``(m, 3, 3)`` whose smallest
+    eigenvalue is certified to be computed by ``eigvalsh`` as >= ``floor``.
+
+    The closed-form Cholesky factor L of A = S - (floor + delta) I, with
+    delta = ``_CERTIFICATE_MARGIN`` max|S_ij|, exists in floating point
+    when all three radicands are positive.  Then L L^H = A + E with
+    |E| <= gamma_4 |L| |L^H| (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 10.3; a small multiple in complex arithmetic), so
+    ||E||_2 is a few ulps of max A_ii and lambda_min(S) >= floor + delta
+    - ||E||; ``eigvalsh`` is within a few ulps of ||S||_2 <= 3 max|S_ij|
+    of lambda_min(S).  Where |floor| exceeds 3 max|S_ij|, and so
+    dominates A, lambda_min(S) >= -3 max|S_ij| > floor anyway.  A NaN or
+    overflow leaves a radicand that is not positive: not cleared.
+    """
+    with np.errstate(all="ignore"):
+        shift = floor + _CERTIFICATE_MARGIN * np.max(np.abs(sym), axis=(-2, -1))
+        r1 = sym[:, 0, 0].real - shift
+        l11 = np.sqrt(r1)
+        l21 = sym[:, 1, 0] / l11
+        l31 = sym[:, 2, 0] / l11
+        r2 = sym[:, 1, 1].real - shift - (l21.real ** 2 + l21.imag ** 2)
+        l32 = (sym[:, 2, 1] - l31 * l21.conj()) / np.sqrt(r2)
+        r3 = (sym[:, 2, 2].real - shift - (l31.real ** 2 + l31.imag ** 2)
+              - (l32.real ** 2 + l32.imag ** 2))
+    return (r1 > 0.0) & (r2 > 0.0) & (r3 > 0.0)
+
+
 def validate_density_matrix(rho, trace_tol: float = DENSITY_TRACE_TOL,
                             eig_floor: float = DENSITY_EIGENVALUE_FLOOR) -> np.ndarray:
     """Check trace, Hermiticity and positivity; return the Hermitized state.
@@ -179,6 +213,13 @@ def validate_density_matrix(rho, trace_tol: float = DENSITY_TRACE_TOL,
     ``rho`` is one 3x3 matrix or a stack ``(m, 3, 3)`` checked member by
     member.  Raises InvariantViolation when any bound is broken; for a
     stack the message is that of the first failing member.
+
+    Positivity is the smallest ``eigvalsh`` eigenvalue of the Hermitized
+    state against ``eig_floor``.  A member whose shifted closed-form
+    Cholesky factor exists (:func:`_cholesky_clears`) is certified to
+    pass that test without the eigensolve; only the others go to
+    ``eigvalsh``, which decides them and gives the reported eigenvalue,
+    so every outcome and message is that of ``eigvalsh`` alone.
     """
     rho = numerics.as_complex_matrix(rho, stack=True)
     if rho.shape[-2:] != (DIM, DIM):
@@ -187,7 +228,10 @@ def validate_density_matrix(rho, trace_tol: float = DENSITY_TRACE_TOL,
     asym = np.max(np.abs(rho - adjoint), axis=(-2, -1)).reshape(-1)
     drift = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).reshape(-1)
     sym = 0.5 * (rho + adjoint)
-    lowest = np.min(np.linalg.eigvalsh(sym), axis=-1).reshape(-1)
+    members = sym.reshape(-1, DIM, DIM)
+    uncertain = ~_cholesky_clears(members, eig_floor)
+    lowest = np.full(len(members), np.inf)
+    lowest[uncertain] = np.min(np.linalg.eigvalsh(members[uncertain]), axis=-1)
     failed = (asym > DENSITY_HERMITICITY_TOL) | (drift > trace_tol) | (lowest < eig_floor)
     if np.any(failed):
         k = int(np.argmax(failed))

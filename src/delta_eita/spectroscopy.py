@@ -50,9 +50,11 @@ KK_ENDPOINT_FRACTION = 0.05
 
 #: Probe detunings solved together as one stack in a sweep.  The block
 #: bounds the (block, 9, 9) generator stack and its copies in the solve:
-#: one 4001-point stack raised peak RSS by ~18 MB, 256-point blocks by
-#: ~1 MB, less than the per-point loop's ~2 MB.
-SWEEP_BLOCK = 256
+#: a 4001-point sweep raised peak RSS by ~4.7 MB in 1024-point blocks,
+#: ~18 MB in one stack and ~1 MB in 256-point blocks, and took ~29-33 ms
+#: against ~36-44 ms in 256-point blocks and ~38 ms in one stack (warm,
+#: one BLAS thread, 2-vCPU host).
+SWEEP_BLOCK = 1024
 
 
 def _check_grid(grid: np.ndarray) -> None:
@@ -515,11 +517,13 @@ def population_inversion_scan(table: SpectrumTable) -> tuple[float, float]:
     """Minimum of pop1 - pop3 over the sweep and the detuning where it occurs.
 
     An exact tie goes to the first (lowest) detuning.  On a spectrum
-    that is mirror-symmetric in delta13 (loop phase pi/2 or 3pi/2 at the
-    stock drives) the minimum sits at +-delta with values equal to the
-    last bit, so last-bit rounding of the steady-state solve decides
-    which sign is reported: ``configs/phase_scan.ini`` at 3pi/2 gives
-    0.7781771195156512 at both -0.38 and +0.38.
+    that is mirror-symmetric in delta13 (loop phase pi/2 or 3pi/2 with
+    delta23 = 0) the minimum sits at +-delta with values that are
+    equal or one ulp apart, so last-bit rounding of the steady-state
+    solve decides which sign is reported: ``configs/phase_scan.ini`` at
+    3pi/2 gives 0.7781771195156512 at both -0.38 and +0.38, and three
+    of the benchmark's phase-sweep pool inputs report ``@+`` because
+    their + side is one ulp lower.
     """
     if len(table) == 0:
         raise ValidationError("empty spectrum table")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delta_eita import (
     Decoherence,
@@ -19,6 +21,11 @@ from delta_eita import (
     vectorize,
 )
 from delta_eita.lindblad import (
+    DENSITY_EIGENVALUE_FLOOR,
+    DENSITY_HERMITICITY_TOL,
+    DENSITY_TRACE_TOL,
+    EVOLVE_EIGENVALUE_FLOOR,
+    EVOLVE_TRACE_TOL,
     build_liouvillian_block,
     ground_state,
     level_projector,
@@ -340,7 +347,88 @@ class TestPropagate:
         assert str(exc.value) == f"propagator exp(L t) is not finite at t={first}"
 
 
+def eigvalsh_gate(rho, trace_tol=DENSITY_TRACE_TOL, eig_floor=DENSITY_EIGENVALUE_FLOOR):
+    """Reference ``validate_density_matrix``: positivity from ``eigvalsh``
+    of every member, with no certificate in front of it."""
+    rho = np.asarray(rho, dtype=complex)
+    adjoint = np.swapaxes(rho, -1, -2).conj()
+    asym = np.max(np.abs(rho - adjoint), axis=(-2, -1)).reshape(-1)
+    drift = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).reshape(-1)
+    sym = 0.5 * (rho + adjoint)
+    lowest = np.min(np.linalg.eigvalsh(sym), axis=-1).reshape(-1)
+    failed = (asym > DENSITY_HERMITICITY_TOL) | (drift > trace_tol) | (lowest < eig_floor)
+    if np.any(failed):
+        k = int(np.argmax(failed))
+        if asym[k] > DENSITY_HERMITICITY_TOL:
+            raise InvariantViolation(f"Hermiticity violated by {asym[k]:.3e}")
+        if drift[k] > trace_tol:
+            raise InvariantViolation(f"trace deviates from 1 by {drift[k]:.3e}")
+        raise InvariantViolation(f"negative eigenvalue {lowest[k]:.3e}")
+    return sym
+
+
+def gate_outcome(gate, rho, **tolerances):
+    """The returned bytes, or the type and message of the exception."""
+    try:
+        return gate(rho, **tolerances).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+#: A drawn member: its spectrum kind, the offset of its lowest eigenvalue
+#: from the floor ("edge"), the scale of its other eigenvalues, a defect
+#: and the seed of its eigenvectors.
+_MEMBERS = st.tuples(
+    st.sampled_from(["mixed", "rank1", "rank2", "edge", "edge", "zero"]),
+    st.sampled_from([0.0, 1e-16, -1e-16, 1e-13, -1e-13, 1e-10, -1e-10]),
+    st.sampled_from([1.0, 1.0, 1e3]) | st.floats(1.0, 1e6),
+    st.sampled_from([None, None, None, None, "asym", "trace"]),
+    st.integers(0, 2**32 - 1))
+
+
+def drawn_state(kind, offset, scale, defect, seed, floor):
+    """U diag(w) U^H for a random unitary U and a spectrum w of ``kind``;
+    "edge" puts the lowest eigenvalue at ``floor + offset`` below two
+    eigenvalues of size ``scale``."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    p = rng.uniform(0.05, 0.95)
+    w = {"mixed": rng.dirichlet(np.ones(3)) * scale,
+         "rank1": np.array([0.0, 0.0, scale]),
+         "rank2": np.array([0.0, p, 1.0 - p]) * scale,
+         "edge": np.array([floor + offset, p * scale, (1.0 - p) * scale]),
+         "zero": np.zeros(3)}[kind]
+    rho = (u * w) @ u.conj().T
+    if defect == "asym":
+        rho[0, 1] += 1e-9
+    elif defect == "trace":
+        rho *= 1.0 + 1e-7
+    return rho
+
+
 class TestValidateDensityMatrix:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(members=st.lists(_MEMBERS, min_size=1, max_size=9),
+           failing_middle=st.booleans(),
+           evolve_gates=st.booleans(),
+           any_trace=st.booleans())
+    def test_same_outcome_as_eigvalsh_gate(self, members, failing_middle, evolve_gates,
+                                           any_trace):
+        # both floors; scaled members only reach the positivity check past
+        # an unbounded trace tolerance
+        floor = EVOLVE_EIGENVALUE_FLOOR if evolve_gates else DENSITY_EIGENVALUE_FLOOR
+        tolerances = {"eig_floor": floor,
+                      "trace_tol": np.inf if any_trace
+                      else EVOLVE_TRACE_TOL if evolve_gates else DENSITY_TRACE_TOL}
+        stack = [drawn_state(*m, floor) for m in members]
+        if failing_middle:
+            stack.insert(len(stack) // 2, np.diag([1.0 - 2.0 * floor, 0.0, 2.0 * floor]))
+        stack = np.array(stack)
+        assert (gate_outcome(validate_density_matrix, stack, **tolerances)
+                == gate_outcome(eigvalsh_gate, stack, **tolerances))
+        assert (gate_outcome(validate_density_matrix, stack[0], **tolerances)
+                == gate_outcome(eigvalsh_gate, stack[0], **tolerances))
+
     def test_accepts_valid(self, rng):
         validate_density_matrix(random_density(rng))
 

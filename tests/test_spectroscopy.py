@@ -340,11 +340,25 @@ def per_point_table(drives, dec, grid):
 
 
 class TestStackedSweep:
-    @pytest.mark.parametrize("n", [1, 255, 256, 257, 2 * SWEEP_BLOCK + 1, 801])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 801, SWEEP_BLOCK - 1, SWEEP_BLOCK,
+                                   SWEEP_BLOCK + 1, 2 * SWEEP_BLOCK + 1])
     def test_equals_per_point_table(self, stock_drives, stock_dec, n):
         grid = np.linspace(-4.0, 4.0, n)
         assert_same_table(sweep_detuning(stock_drives, stock_dec, grid),
                           per_point_table(stock_drives, stock_dec, grid))
+
+    @pytest.mark.parametrize("drives, dec", [
+        (DriveSet(Drive(0.2), Drive(0.2), Drive(1.0)),
+         Decoherence(gamma12=0.1, gamma13=1.0, gamma23=0.1)),
+        (DriveSet(Drive(0.3, 0.4), Drive(0.2, 0.7), Drive(1.2, -1.1, 0.3)),
+         Decoherence(gamma12=0.1, gamma13=1.0, gamma23=0.1, gphi2=0.05, gphi3=0.2)),
+    ], ids=["stock", "dephased-phi13"])
+    def test_table_does_not_depend_on_block_size(self, monkeypatch, drives, dec):
+        grid = kramers_kronig_grid()
+        expected = sweep_detuning(drives, dec, grid)
+        for block in (1, 7, 256, 1024):
+            monkeypatch.setattr(spectroscopy, "SWEEP_BLOCK", block)
+            assert_same_table(sweep_detuning(drives, dec, grid), expected)
 
     @pytest.mark.parametrize("phi13", [0.7, -2.9])
     def test_equals_per_point_with_probe_phase(self, phi13):
@@ -401,8 +415,7 @@ class TestStackedSweep:
 
     def test_nan_in_second_block_is_named(self, stock_drives, stock_dec):
         # a finite failing point: at 1e13 the relative pivot is ~5e-14
-        grid = np.append(np.linspace(-4.0, 4.0, 299), 1e13)
-        assert grid.size - 1 >= SWEEP_BLOCK
+        grid = np.append(np.linspace(-4.0, 4.0, SWEEP_BLOCK + 43), 1e13)
         with pytest.raises(DegenerateSteadyState) as single:
             probe_response(stock_drives, stock_dec, 1e13)
         with pytest.raises(DegenerateSteadyState) as stacked:
