@@ -51,9 +51,9 @@ KK_ENDPOINT_FRACTION = 0.05
 #: Probe detunings solved together as one stack in a sweep.  The block
 #: bounds the (block, 9, 9) generator stack and its copies in the solve:
 #: a 4001-point sweep raised peak RSS by ~4.7 MB in 1024-point blocks,
-#: ~18 MB in one stack and ~1 MB in 256-point blocks, and took ~29-33 ms
-#: against ~36-44 ms in 256-point blocks and ~38 ms in one stack (warm,
-#: one BLAS thread, 2-vCPU host).
+#: ~18 MB in one stack and ~1 MB in 256-point blocks, and took ~15-20%
+#: less time than in 256-point blocks or one stack (22-29 ms against
+#: 28-35 ms, interleaved runs, one BLAS thread, 2-vCPU host).
 SWEEP_BLOCK = 1024
 
 

@@ -414,7 +414,8 @@ class TestStackedSweep:
         assert str(stacked.value) == f"at delta13={grid[0]:g}: {single.value}"
 
     def test_nan_in_second_block_is_named(self, stock_drives, stock_dec):
-        # a finite failing point: at 1e13 the relative pivot is ~5e-14
+        # a finite failing point, in the second block whatever its size: at
+        # 1e13 the relative pivot is ~5e-14
         grid = np.append(np.linspace(-4.0, 4.0, SWEEP_BLOCK + 43), 1e13)
         with pytest.raises(DegenerateSteadyState) as single:
             probe_response(stock_drives, stock_dec, 1e13)
