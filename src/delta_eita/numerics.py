@@ -6,8 +6,9 @@ Hermitian eigendecomposition.  Matrices are plain
 ``numpy.ndarray`` of complex128; the validation helpers enforce the finite-
 entries contract at the boundary.  The solve and the exponential take a
 stack ``(m, n, n)`` as well, and each member's result is bit for bit the
-one it gets alone.  The exponential is numpy alone; the solve loads
-scipy's LAPACK wrappers from their file but never imports scipy.
+one it gets alone.  The exponential is numpy alone; the solve (and the
+tridiagonal eigensolve of ``verify``'s fluxonium oracle) loads scipy's
+LAPACK wrappers from their file but never imports scipy.
 """
 
 from __future__ import annotations
@@ -70,9 +71,10 @@ def scale_complex(z, c: complex):
 def _lapack():
     """scipy's LAPACK wrappers, the extension ``scipy.linalg._flapack``.
 
-    Its ``zgesv`` is the LAPACK driver that factors by ``zgetrf`` and
-    solves by ``zgetrs``.  The extension is loaded from its file on its
-    own, so the scipy package (~0.3 s of imports) is never imported.
+    Its ``zgesv`` (``zgetrf`` then ``zgetrs``) serves :func:`solve_linear`,
+    and its tridiagonal bisection ``dstebz`` serves
+    ``verify.realspace_levels``.  The extension is loaded from its file on
+    its own, so the scipy package (~0.3 s of imports) is never imported.
     """
     linalg = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
                           "linalg")

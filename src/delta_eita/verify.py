@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import numerics
 from .atom import Decoherence, Drive, DriveSet, rotating_hamiltonian
 from .errors import DeltaEitaError
 from .fluxonium import (
@@ -428,15 +429,17 @@ def check_kramers_kronig_lorentzian() -> tuple[bool, str]:
 
 def realspace_levels(p: FluxoniumParams, flux: float) -> tuple[float, float]:
     """Independent device levels from a 2048-point finite-difference phase grid."""
-    from scipy.linalg import eigh_tridiagonal
-
     npts, halfspan = 2048, 6.0 * np.pi
     x = np.linspace(2.0 * np.pi * flux - halfspan, 2.0 * np.pi * flux + halfspan, npts)
     dx = x[1] - x[0]
     pot = -p.ej * np.cos(x) + 0.5 * p.el * (x - 2.0 * np.pi * flux) ** 2
     diag = 8.0 * p.ec / dx ** 2 + pot
     off = np.full(npts - 1, -4.0 * p.ec / dx ** 2)
-    w = eigh_tridiagonal(diag, off, select="i", select_range=(0, 2))[0]
+    # the three lowest eigenvalues by bisection: range by index (2), il = 1 to
+    # iu = 3, abstol 0, ascending
+    m, w, _, _, info = numerics._lapack().dstebz(diag, off, 2, 0.0, 0.0, 1, 3, 0.0, "E")
+    if info != 0 or m != 3:
+        raise np.linalg.LinAlgError(f"dstebz found {m} of 3 levels (LAPACK info={info})")
     return float(w[1] - w[0]), float(w[2] - w[0])
 
 

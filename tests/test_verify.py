@@ -1,7 +1,12 @@
-"""The verify registry and its error guard."""
+"""The verify registry, its error guard and the fluxonium grid oracle."""
 
-from delta_eita import verify
+import numpy as np
+import pytest
+from scipy.linalg import eigh_tridiagonal
+
+from delta_eita import numerics, verify
 from delta_eita.errors import NoSignChange
+from delta_eita.fluxonium import FluxoniumParams
 
 #: Every check `--mode verify` prints, in order.
 CHECK_NAMES = [
@@ -38,3 +43,38 @@ def test_package_error_becomes_a_fail_result(monkeypatch):
     assert result == verify.CheckResult(
         "fluxonium_bias_and_rates", False,
         "raised NoSignChange: w21 - w10 does not change sign on [0.01, 0.2]")
+
+
+def grid_hamiltonian(p, flux):
+    """Diagonal and off-diagonal of ``realspace_levels``' grid Hamiltonian."""
+    npts, halfspan = 2048, 6.0 * np.pi
+    x = np.linspace(2.0 * np.pi * flux - halfspan, 2.0 * np.pi * flux + halfspan, npts)
+    dx = x[1] - x[0]
+    pot = -p.ej * np.cos(x) + 0.5 * p.el * (x - 2.0 * np.pi * flux) ** 2
+    return 8.0 * p.ec / dx ** 2 + pot, np.full(npts - 1, -4.0 * p.ec / dx ** 2)
+
+
+#: The stock device and two devices at the corners of the benchmark's range.
+ORACLE_DEVICES = [FluxoniumParams(ej=9.0, ec=2.5, el=0.52),
+                  FluxoniumParams(ej=8.5, ec=2.7, el=0.46),
+                  FluxoniumParams(ej=9.5, ec=2.3, el=0.58)]
+
+
+@pytest.mark.parametrize("flux", [-0.5, 0.0, 0.08, 0.13, 0.25, 0.4, 0.5])
+@pytest.mark.parametrize("device", ORACLE_DEVICES, ids=["stock", "low", "high"])
+def test_realspace_levels_match_scipy_eigh_tridiagonal(device, flux):
+    # scipy's tridiagonal eigensolver is a test-only oracle here
+    w = eigh_tridiagonal(*grid_hamiltonian(device, flux), select="i", select_range=(0, 2))[0]
+    assert verify.realspace_levels(device, flux) == (float(w[1] - w[0]), float(w[2] - w[0]))
+
+
+@pytest.mark.parametrize("m, info", [(3, 1), (2, 0)])
+def test_failing_dstebz_raises_linalg_error(monkeypatch, m, info):
+    class Stub:
+        @staticmethod
+        def dstebz(d, *args):
+            return m, np.sort(d), np.ones(d.size, np.int32), np.zeros(d.size, np.int32), info
+
+    monkeypatch.setattr(numerics, "_lapack", lambda: Stub)
+    with pytest.raises(np.linalg.LinAlgError, match=f"LAPACK info={info}"):
+        verify.realspace_levels(ORACLE_DEVICES[0], 0.08)
