@@ -49,6 +49,14 @@ _SCHEMA = {
 
 DEFAULT_PHASES = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
 
+#: Upper bounds on the two sizes a config sets, each allowing ~1 GB: a
+#: sweep holds ~1 KB per grid point at its peak (the table and its CSV
+#: text), and a fluxonium spectrum ~250 B per squared basis state (its
+#: cached operators and the two eigensolves).  A larger value is a
+#: ValidationError before anything is allocated.
+MAX_GRID_POINTS = 1_000_000
+MAX_BASIS_SIZE = 2_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -232,6 +240,9 @@ def parse_config(text: str, units: str | None = None, mode: str | None = None,
     if mode in ("sweep", "phase-sweep", "fluxonium", "reflect"):
         if grid_points < 2:
             raise ValidationError(f"sweep needs points >= 2, got {grid_points}")
+        if grid_points > MAX_GRID_POINTS:
+            raise ValidationError(
+                f"sweep needs points <= {MAX_GRID_POINTS}, got {grid_points}")
         if not grid_lo < grid_hi:
             raise ValidationError(f"sweep needs lo < hi, got [{grid_lo}, {grid_hi}]")
     if mode != "fluxonium":
@@ -255,12 +266,16 @@ def parse_config(text: str, units: str | None = None, mode: str | None = None,
     if mode == "fluxonium" and not flx.present():
         raise ValidationError("mode 'fluxonium' needs a [fluxonium] section")
     if flx.present():
+        basis_size = flx.getint("basis_size", FluxoniumParams.basis_size)
+        if basis_size > MAX_BASIS_SIZE:
+            raise ValidationError(
+                f"basis_size must be <= {MAX_BASIS_SIZE}, got {basis_size}")
         try:
             fluxonium = FluxoniumParams(
                 ej=flx.getfloat("ej", EXAMPLE_EJ),
                 ec=flx.getfloat("ec", EXAMPLE_EC),
                 el=flx.getfloat("el", EXAMPLE_EL),
-                basis_size=flx.getint("basis_size", FluxoniumParams.basis_size),
+                basis_size=basis_size,
             )
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc

@@ -5,7 +5,7 @@ import pytest
 
 from delta_eita import ParseError, ValidationError
 from delta_eita.cli import main
-from delta_eita.config import dump_config, parse_config
+from delta_eita.config import MAX_BASIS_SIZE, MAX_GRID_POINTS, dump_config, parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -71,6 +71,18 @@ class TestParseConfig:
         bad = MINIMAL_EIT.replace("points = 41", "points = 1")
         with pytest.raises(ValidationError):
             parse_config(bad)
+
+    def test_sizes_are_bounded_from_above(self):
+        assert parse_config(MINIMAL_EIT.replace(
+            "points = 41", f"points = {MAX_GRID_POINTS}")).grid_points == MAX_GRID_POINTS
+        with pytest.raises(ValidationError, match=f"points <= {MAX_GRID_POINTS}"):
+            parse_config(MINIMAL_EIT.replace("points = 41", f"points = {MAX_GRID_POINTS + 1}"))
+        fluxonium = (CONFIG_DIR / "fluxonium.ini").read_text(encoding="utf-8")
+        cfg = parse_config(fluxonium.replace("basis_size = 100", f"basis_size = {MAX_BASIS_SIZE}"))
+        assert cfg.fluxonium.basis_size == MAX_BASIS_SIZE
+        with pytest.raises(ValidationError, match=f"basis_size must be <= {MAX_BASIS_SIZE}"):
+            parse_config(fluxonium.replace("basis_size = 100",
+                                           f"basis_size = {MAX_BASIS_SIZE + 1}"))
 
     def test_negative_rate_rejected(self):
         bad = MINIMAL_EIT.replace("gamma12 = 0.1", "gamma12 = -0.1")
@@ -258,6 +270,19 @@ class TestExitCodes:
     def test_validation_error(self, tmp_path):
         cfg = self.write(tmp_path, MINIMAL_EIT.replace("points = 41", "points = 1"))
         assert main(["--config", cfg]) == 2
+
+    @pytest.mark.parametrize("config, old, new", [
+        ("eita", "points = 801", "points = 100000000000"),
+        ("fluxonium", "points = 50", "points = 100000000000"),
+        ("fluxonium", "basis_size = 100", "basis_size = 1000000"),
+    ], ids=["sweep-points", "flux-points", "basis-size"])
+    def test_oversized_config_is_validation_error(self, tmp_path, capsys, config, old, new):
+        # 8e11 bytes of grid or 8e12 bytes per operator: rejected, not allocated
+        text = (CONFIG_DIR / f"{config}.ini").read_text(encoding="utf-8")
+        cfg = self.write(tmp_path, text.replace(old, new))
+        assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("validation error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_numerical_error(self, tmp_path):
         # disconnected level 3: degenerate steady state

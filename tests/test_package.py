@@ -38,13 +38,13 @@ def test_every_export_resolves():
     assert len(set(delta_eita.__all__)) == len(delta_eita.__all__)
 
 
-def _fresh_cli_run(tmp_path, argv):
+def _fresh_cli_run(tmp_path, argv, module="scipy"):
     """Run ``cli.main(argv)`` (no run for ``None``) in a fresh interpreter;
-    return its exit status, whether scipy got imported, and its stdout."""
+    return its exit status, whether ``module`` got imported, and its stdout."""
     code = ("import sys\n"
             "import delta_eita.cli\n"
             f"rc = 0 if {argv!r} is None else delta_eita.cli.main({argv!r})\n"
-            "print(rc, 'scipy' in sys.modules)\n")
+            f"print(rc, {module!r} in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
@@ -80,3 +80,22 @@ def test_start_up_path_does_not_import_scipy(tmp_path, config, mode, rc, summary
         assert lines == []
     else:
         assert lines[-1].startswith(summary)
+
+
+#: orjson spells the CSV cells, and ``csvout.write_csv`` imports it on its
+#: first call, so a run that writes no CSV never loads it.
+@pytest.mark.parametrize("argv", [
+    None, ["--mode", "steady"], ["--dump-config"],
+], ids=["import", "eita-steady", "dump-config"])
+def test_runs_without_a_csv_do_not_import_orjson(tmp_path, argv):
+    if argv is not None:
+        argv = ["--config", str(ROOT / "configs" / "eita.ini"), "--out", str(tmp_path), *argv]
+    rc, loaded, lines = _fresh_cli_run(tmp_path, argv, module="orjson")
+    assert (rc, loaded) == (0, False)
+    assert argv is None or lines
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_a_run_that_writes_a_csv_imports_orjson(tmp_path):
+    argv = ["--config", str(ROOT / "configs" / "eita.ini"), "--out", str(tmp_path)]
+    assert _fresh_cli_run(tmp_path, argv, module="orjson")[:2] == (0, True)
