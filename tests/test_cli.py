@@ -5,7 +5,13 @@ import pytest
 
 from delta_eita import ParseError, ValidationError
 from delta_eita.cli import main
-from delta_eita.config import MAX_BASIS_SIZE, MAX_GRID_POINTS, dump_config, parse_config
+from delta_eita.config import (
+    MAX_BASIS_SIZE,
+    MAX_GRID_POINTS,
+    MODES,
+    dump_config,
+    parse_config,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -41,7 +47,129 @@ basename = eit_min
 """
 
 
+FLUXONIUM = (CONFIG_DIR / "fluxonium.ini").read_text(encoding="utf-8")
+
+
+def edit(text, old, new):
+    assert old in text, old
+    return text.replace(old, new)
+
+
+def case(name, text, error, message, **overrides):
+    return pytest.param(text, overrides, error, message, id=name)
+
+
+#: Every way parse_config turns a config down, with the exact exception
+#: type and message; ``None`` marks a config that must be accepted.
+CONFIG_OUTCOMES = [
+    case("duplicate-section", MINIMAL_EIT + "\n[run]\nmode = steady\n", ParseError,
+         "malformed config: While reading from '<string>' [line 30]: "
+         "section 'run' already exists"),
+    case("duplicate-key", edit(MINIMAL_EIT, "gamma12 = 0.1", "gamma12 = 0.1\ngamma12 = 0.2"),
+         ParseError, "malformed config: While reading from '<string>' [line  7]: "
+         "option 'gamma12' in section 'atom' already exists"),
+    case("line-outside-section", "mode = sweep\n" + MINIMAL_EIT, ParseError,
+         "malformed config: File contains no section headers.\n"
+         "file: '<string>', line: 1\n'mode = sweep\\n'"),
+    case("unknown-section", MINIMAL_EIT + "\n[plotting]\nstyle = dark\n", ParseError,
+         "unknown section [plotting]"),
+    case("unknown-key", edit(MINIMAL_EIT, "gamma23 = 0.1", "gamma23 = 0.1\ngama13 = 1.0"),
+         ParseError, "unknown key 'gama13' in section [atom]"),
+    case("unknown-key-from-default", "[DEFAULT]\nphase = 0.5\n\n" + MINIMAL_EIT, ParseError,
+         "unknown key 'phase' in section [run]"),
+    case("not-a-number", edit(MINIMAL_EIT, "gamma12 = 0.1", "gamma12 = fast"), ParseError,
+         "[atom] gamma12 = 'fast' is not a number"),
+    case("points-not-an-integer", edit(MINIMAL_EIT, "points = 41", "points = 8.5"), ParseError,
+         "[sweep] points = '8.5' is not an integer"),
+    case("basis-size-not-an-integer", edit(FLUXONIUM, "basis_size = 100", "basis_size = 1e3"),
+         ParseError, "[fluxonium] basis_size = '1e3' is not an integer"),
+    case("basis-size-not-whole", edit(FLUXONIUM, "basis_size = 100", "basis_size = 50.5"),
+         ParseError, "[fluxonium] basis_size = '50.5' is not an integer"),
+    case("not-a-boolean", MINIMAL_EIT + "\n[reflect]\ntie_probe_to_input = maybe\n",
+         ParseError, "[reflect] tie_probe_to_input = 'maybe' is not a boolean"),
+    case("empty-boolean", MINIMAL_EIT + "\n[reflect]\ntie_probe_to_input =\n",
+         ParseError, "[reflect] tie_probe_to_input = '' is not a boolean"),
+    case("not-a-float-list", edit(MINIMAL_EIT, "points = 41", "points = 41\nphases = 1,x"),
+         ParseError, "[sweep] phases = '1,x' is not a float list"),
+    case("gamma12-inf", edit(MINIMAL_EIT, "gamma12 = 0.1", "gamma12 = inf"), ValidationError,
+         "[atom] gamma12 = 'inf' is not finite"),
+    case("lo-nan", edit(MINIMAL_EIT, "lo = -2.0", "lo = nan"), ValidationError,
+         "[sweep] lo = 'nan' is not finite"),
+    case("phases-inf", edit(MINIMAL_EIT, "points = 41", "points = 41\nphases = 0.0,inf"),
+         ValidationError, "[sweep] phases = '0.0,inf' is not finite"),
+    case("missing-mode", edit(MINIMAL_EIT, "[run]\nmode = sweep\n", ""), ValidationError,
+         "missing [run] mode"),
+    case("empty-mode", edit(MINIMAL_EIT, "mode = sweep", "mode ="), ValidationError,
+         f"mode must be one of {MODES}, got ''"),
+    case("unknown-mode", edit(MINIMAL_EIT, "mode = sweep", "mode = scan"), ValidationError,
+         f"mode must be one of {MODES}, got 'scan'"),
+    case("unknown-mode-override", MINIMAL_EIT, ValidationError,
+         f"mode must be one of {MODES}, got 'scan'", mode="scan"),
+    case("mode-on-continuation-line", edit(MINIMAL_EIT, "mode = sweep", "mode =\n  steady"),
+         None, None),
+    case("unknown-units", edit(MINIMAL_EIT, "units = gamma13", "units = GHz"), ValidationError,
+         "units must be one of ('gamma13', 'MHz'), got 'GHz'"),
+    case("unknown-units-override", MINIMAL_EIT, ValidationError,
+         "units must be one of ('gamma13', 'MHz'), got 'GHz'", units="GHz"),
+    case("d12-detuning", edit(MINIMAL_EIT, "[drives.d12]\nmagnitude = 0.0",
+                              "[drives.d12]\nmagnitude = 0.0\ndetuning = 0.3"),
+         ValidationError, "delta12 is derived from delta13 - delta23, not settable "
+         "([drives.d12] detuning)"),
+    case("d12-detuning-unparsable", edit(MINIMAL_EIT, "[drives.d12]\nmagnitude = 0.0",
+                                         "[drives.d12]\nmagnitude = 0.0\ndetuning = x"),
+         ValidationError, "delta12 is derived from delta13 - delta23, not settable "
+         "([drives.d12] detuning)"),
+    case("points-below-2", edit(MINIMAL_EIT, "points = 41", "points = 1"), ValidationError,
+         "sweep needs points >= 2, got 1"),
+    case("points-above-max",
+         edit(MINIMAL_EIT, "points = 41", f"points = {MAX_GRID_POINTS + 1}"), ValidationError,
+         f"sweep needs points <= {MAX_GRID_POINTS}, got {MAX_GRID_POINTS + 1}"),
+    case("lo-not-below-hi", edit(MINIMAL_EIT, "lo = -2.0", "lo = 2.0"), ValidationError,
+         "sweep needs lo < hi, got [2.0, 2.0]"),
+    case("empty-phases", edit(edit(MINIMAL_EIT, "mode = sweep", "mode = phase-sweep"),
+                              "points = 41", "points = 41\nphases = ,"),
+         ValidationError, "phase-sweep needs a nonempty [sweep] phases list"),
+    case("negative-t", edit(MINIMAL_EIT, "mode = sweep", "mode = evolve")
+         + "\n[evolve]\nt = -1.0\n", ValidationError, "evolve t must be >= 0, got -1.0"),
+    case("unknown-initial", MINIMAL_EIT + "\n[evolve]\ninitial = thermal\n", ValidationError,
+         "evolve initial must be one of ('ground', 'mixed', 'excited'), got 'thermal'"),
+    case("fluxonium-without-section", MINIMAL_EIT, ValidationError,
+         "mode 'fluxonium' needs a [fluxonium] section", mode="fluxonium"),
+    case("basis-size-above-max",
+         edit(FLUXONIUM, "basis_size = 100", f"basis_size = {MAX_BASIS_SIZE + 1}"),
+         ValidationError, f"basis_size must be <= {MAX_BASIS_SIZE}, got {MAX_BASIS_SIZE + 1}"),
+    case("basis-size-below-30", edit(FLUXONIUM, "basis_size = 100", "basis_size = 29"),
+         ValidationError, "basis_size must be >= 30, got 29"),
+    case("ej-zero", edit(FLUXONIUM, "ej = 9.0", "ej = 0"), ValidationError,
+         "ej must be > 0, got 0.0"),
+    case("gamma-ref-zero", edit(FLUXONIUM, "gamma_ref_mhz = 11.0", "gamma_ref_mhz = 0"),
+         ValidationError, "gamma_ref_mhz must be > 0, got 0.0"),
+    case("negative-rate", edit(MINIMAL_EIT, "gamma12 = 0.1", "gamma12 = -0.1"),
+         ValidationError, "gamma12 must be a finite rate >= 0, got -0.1"),
+    case("negative-magnitude", edit(MINIMAL_EIT, "magnitude = 0.2", "magnitude = -0.2"),
+         ValidationError, "drive magnitude must be >= 0, got -0.2"),
+    case("no-decay-to-ground", edit(edit(MINIMAL_EIT, "gamma12 = 0.1", "gamma12 = 0"),
+                                    "gamma13 = 1.0", "gamma13 = 0.0"),
+         ValidationError, "at least one of gamma12, gamma13 must be > 0"),
+    case("missing-drives-section",
+         edit(MINIMAL_EIT, "[drives.d23]\nmagnitude = 1.0\ndetuning = 0.0\n", ""),
+         ValidationError, "mode 'sweep' needs [atom] and all three [drives.*] sections"),
+    # fluxonium reads no atom value, so a partial [atom] is never parsed
+    case("fluxonium-ignores-partial-atom", FLUXONIUM + "\n[atom]\ngamma12 = garbage\n",
+         None, None),
+]
+
+
 class TestParseConfig:
+    @pytest.mark.parametrize("text, overrides, error, message", CONFIG_OUTCOMES)
+    def test_outcome_table(self, text, overrides, error, message):
+        if error is None:
+            parse_config(text, **overrides)
+            return
+        with pytest.raises(error) as got:
+            parse_config(text, **overrides)
+        assert (type(got.value), str(got.value)) == (error, message)
+
     def test_minimal_round_trip(self):
         cfg = parse_config(MINIMAL_EIT)
         again = parse_config(dump_config(cfg))
@@ -77,11 +205,10 @@ class TestParseConfig:
             "points = 41", f"points = {MAX_GRID_POINTS}")).grid_points == MAX_GRID_POINTS
         with pytest.raises(ValidationError, match=f"points <= {MAX_GRID_POINTS}"):
             parse_config(MINIMAL_EIT.replace("points = 41", f"points = {MAX_GRID_POINTS + 1}"))
-        fluxonium = (CONFIG_DIR / "fluxonium.ini").read_text(encoding="utf-8")
-        cfg = parse_config(fluxonium.replace("basis_size = 100", f"basis_size = {MAX_BASIS_SIZE}"))
+        cfg = parse_config(FLUXONIUM.replace("basis_size = 100", f"basis_size = {MAX_BASIS_SIZE}"))
         assert cfg.fluxonium.basis_size == MAX_BASIS_SIZE
         with pytest.raises(ValidationError, match=f"basis_size must be <= {MAX_BASIS_SIZE}"):
-            parse_config(fluxonium.replace("basis_size = 100",
+            parse_config(FLUXONIUM.replace("basis_size = 100",
                                            f"basis_size = {MAX_BASIS_SIZE + 1}"))
 
     def test_negative_rate_rejected(self):
