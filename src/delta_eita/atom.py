@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -53,9 +55,9 @@ class Drive:
 
     def __post_init__(self):
         if not np.isfinite(self.magnitude) or self.magnitude < 0.0:
-            raise ValueError(f"drive magnitude must be >= 0, got {self.magnitude}")
+            raise ValidationError(f"drive magnitude must be >= 0, got {self.magnitude}")
         if not np.isfinite(self.phase) or not np.isfinite(self.detuning):
-            raise ValueError("drive phase/detuning must be finite")
+            raise ValidationError("drive phase/detuning must be finite")
         object.__setattr__(self, "magnitude", float(self.magnitude))
         object.__setattr__(self, "phase", fold_phase(self.phase))
         object.__setattr__(self, "detuning", float(self.detuning))
@@ -113,10 +115,10 @@ class Decoherence:
         for name in ("gamma12", "gamma13", "gamma23", "gphi2", "gphi3"):
             v = float(getattr(self, name))
             if not np.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be a finite rate >= 0, got {v}")
+                raise ValidationError(f"{name} must be a finite rate >= 0, got {v}")
             object.__setattr__(self, name, v)
         if self.gamma12 == 0.0 and self.gamma13 == 0.0:
-            raise ValueError("at least one of gamma12, gamma13 must be > 0")
+            raise ValidationError("at least one of gamma12, gamma13 must be > 0")
 
     @property
     def big_gamma3(self) -> float:

@@ -183,7 +183,7 @@ def main(argv=None) -> int:
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
 

@@ -1,17 +1,8 @@
 """Strict INI-style run configuration.
 
-Sections and keys (anything else is a ParseError):
-
-    [run]        mode
-    [atom]       units, gamma12, gamma13, gamma23, gphi2, gphi3
-    [drives.d12] magnitude, phase           (detuning is derived, not settable)
-    [drives.d13] magnitude, phase, detuning
-    [drives.d23] magnitude, phase, detuning
-    [sweep]      lo, hi, points, phases
-    [evolve]     t, initial
-    [fluxonium]  ej, ec, el, basis_size, gamma_ref_mhz
-    [reflect]    a_in_re, a_in_im, tie_probe_to_input
-    [output]     dir, basename
+``_SCHEMA`` is the one list of sections and keys, each with its type and
+default; any other section or key is a ParseError.  ``[drives.d12]
+detuning`` is listed only to be refused: delta12 is derived.
 
 ``units = gamma13`` (default) keeps all atom-section rates, drive
 magnitudes and detunings as given; ``units = MHz`` reads them as
@@ -34,20 +25,42 @@ MODES = ("steady", "sweep", "phase-sweep", "evolve", "fluxonium", "reflect", "ve
 UNITS = ("gamma13", "MHz")
 INITIAL_STATES = ("ground", "mixed", "excited")
 
-_SCHEMA = {
-    "run": ("mode",),
-    "atom": ("units", "gamma12", "gamma13", "gamma23", "gphi2", "gphi3"),
-    "drives.d12": ("magnitude", "phase", "detuning"),
-    "drives.d13": ("magnitude", "phase", "detuning"),
-    "drives.d23": ("magnitude", "phase", "detuning"),
-    "sweep": ("lo", "hi", "points", "phases"),
-    "evolve": ("t", "initial"),
-    "fluxonium": ("ej", "ec", "el", "basis_size", "gamma_ref_mhz"),
-    "reflect": ("a_in_re", "a_in_im", "tie_probe_to_input"),
-    "output": ("dir", "basename"),
-}
 
-DEFAULT_PHASES = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
+def _bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+
+
+_KINDS = {float: "a number", int: "an integer", _bool: "a boolean", _floats: "a float list"}
+
+_DRIVE = {"magnitude": (float, 0.0), "phase": (float, 0.0), "detuning": (float, 0.0)}
+
+#: section -> key -> (converter, default); a key's value is
+#: ``converter(raw)``, or the default when the key is absent.
+_SCHEMA = {
+    "run": {"mode": (str.strip, None)},
+    "atom": {"units": (str.strip, "gamma13"), "gamma12": (float, 0.0),
+             "gamma13": (float, 0.0), "gamma23": (float, 0.0), "gphi2": (float, 0.0),
+             "gphi3": (float, 0.0)},
+    "drives.d12": _DRIVE,
+    "drives.d13": _DRIVE,
+    "drives.d23": _DRIVE,
+    "sweep": {"lo": (float, -4.0), "hi": (float, 4.0), "points": (int, 801),
+              "phases": (_floats, (0.0, np.pi / 2, np.pi, 3 * np.pi / 2))},
+    "evolve": {"t": (float, 10.0), "initial": (str.strip, "ground")},
+    "fluxonium": {"ej": (float, EXAMPLE_EJ), "ec": (float, EXAMPLE_EC),
+                  "el": (float, EXAMPLE_EL), "basis_size": (int, FluxoniumParams.basis_size),
+                  "gamma_ref_mhz": (float, None)},
+    "reflect": {"a_in_re": (float, 1.0), "a_in_im": (float, 0.0),
+                "tie_probe_to_input": (_bool, False)},
+    "output": {"dir": (str.strip, "out"), "basename": (str.strip, "")},
+}
 
 #: Upper bounds on the two sizes a config sets, each allowing ~1 GB: a
 #: sweep holds ~1 KB per grid point at its peak (the table and its CSV
@@ -83,69 +96,19 @@ class RunConfig:
         return np.linspace(self.grid_lo, self.grid_hi, self.grid_points)
 
 
-class _Section:
-    """Typed accessors over one config section with strict key tracking."""
-
-    def __init__(self, name, mapping):
-        self.name = name
-        self.mapping = dict(mapping) if mapping is not None else None
-
-    def present(self) -> bool:
-        return self.mapping is not None
-
-    def _raw(self, key):
-        if self.mapping is None:
-            return None
-        return self.mapping.get(key)
-
-    def _finite(self, key, raw, values):
-        if not np.all(np.isfinite(values)):
-            raise ValidationError(f"[{self.name}] {key} = {raw!r} is not finite")
-        return values
-
-    def getfloat(self, key, default=None):
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ParseError(f"[{self.name}] {key} = {raw!r} is not a number") from exc
-        return self._finite(key, raw, value)
-
-    def getint(self, key, default=None):
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ParseError(f"[{self.name}] {key} = {raw!r} is not an integer") from exc
-
-    def getstr(self, key, default=None):
-        raw = self._raw(key)
-        return default if raw is None else raw.strip()
-
-    def getbool(self, key, default=False):
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ParseError(f"[{self.name}] {key} = {raw!r} is not a boolean")
-
-    def getfloats(self, key, default=()):
-        raw = self._raw(key)
-        if raw is None:
-            return tuple(default)
-        try:
-            values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        except ValueError as exc:
-            raise ParseError(f"[{self.name}] {key} = {raw!r} is not a float list") from exc
-        return self._finite(key, raw, values)
+def _value(parser: configparser.ConfigParser, section: str, key: str):
+    """The typed value of ``[section] key``, or its default when absent."""
+    convert, default = _SCHEMA[section][key]
+    if not parser.has_option(section, key):
+        return default
+    raw = parser.get(section, key)
+    try:
+        value = convert(raw)
+    except ValueError as exc:
+        raise ParseError(f"[{section}] {key} = {raw!r} is not {_KINDS[convert]}") from exc
+    if convert in (float, _floats) and not np.all(np.isfinite(value)):
+        raise ValidationError(f"[{section}] {key} = {raw!r} is not finite")
+    return value
 
 
 def parse_config(text: str, units: str | None = None, mode: str | None = None,
@@ -172,71 +135,44 @@ def parse_config(text: str, units: str | None = None, mode: str | None = None,
             if key not in _SCHEMA[section]:
                 raise ParseError(f"unknown key {key!r} in section [{section}]")
 
-    def sec(name):
-        return _Section(name, parser[name] if parser.has_section(name) else None)
-
-    run = sec("run")
-    atom = sec("atom")
-    d12 = sec("drives.d12")
-    d13 = sec("drives.d13")
-    d23 = sec("drives.d23")
-    sweep = sec("sweep")
-    evolve = sec("evolve")
-    flx = sec("fluxonium")
-    reflect = sec("reflect")
-    output = sec("output")
+    def get(section, key):
+        return _value(parser, section, key)
 
     if mode is None:
-        mode = run.getstr("mode")
+        mode = get("run", "mode")
     if mode is None:
         raise ValidationError("missing [run] mode")
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
 
     if units is None:
-        units = atom.getstr("units", "gamma13")
+        units = get("atom", "units")
     if units not in UNITS:
         raise ValidationError(f"units must be one of {UNITS}, got {units!r}")
     scale = 2.0 * np.pi if units == "MHz" else 1.0
 
-    if d12.present() and d12._raw("detuning") is not None:
+    if parser.has_option("drives.d12", "detuning"):
         raise ValidationError(
             "delta12 is derived from delta13 - delta23, not settable "
             "([drives.d12] detuning)")
 
     drives = None
     dec = None
-    atom_modes = ("steady", "sweep", "phase-sweep", "evolve", "reflect")
-    if atom.present() or mode in atom_modes:
-        if not (atom.present() and d12.present() and d13.present() and d23.present()):
-            if mode in atom_modes:
-                raise ValidationError(
-                    f"mode {mode!r} needs [atom] and all three [drives.*] sections")
-        else:
-            try:
-                dec = Decoherence(
-                    gamma12=scale * atom.getfloat("gamma12", 0.0),
-                    gamma13=scale * atom.getfloat("gamma13", 0.0),
-                    gamma23=scale * atom.getfloat("gamma23", 0.0),
-                    gphi2=scale * atom.getfloat("gphi2", 0.0),
-                    gphi3=scale * atom.getfloat("gphi3", 0.0),
-                )
-                drives = DriveSet(
-                    d12=Drive(magnitude=scale * d12.getfloat("magnitude", 0.0),
-                              phase=d12.getfloat("phase", 0.0)),
-                    d13=Drive(magnitude=scale * d13.getfloat("magnitude", 0.0),
-                              phase=d13.getfloat("phase", 0.0),
-                              detuning=scale * d13.getfloat("detuning", 0.0)),
-                    d23=Drive(magnitude=scale * d23.getfloat("magnitude", 0.0),
-                              phase=d23.getfloat("phase", 0.0),
-                              detuning=scale * d23.getfloat("detuning", 0.0)),
-                )
-            except ValueError as exc:
-                raise ValidationError(str(exc)) from exc
+    driven = all(parser.has_section(name)
+                 for name in ("atom", "drives.d12", "drives.d13", "drives.d23"))
+    if mode in ("steady", "sweep", "phase-sweep", "evolve", "reflect") and not driven:
+        raise ValidationError(f"mode {mode!r} needs [atom] and all three [drives.*] sections")
+    if driven:
+        dec = Decoherence(**{rate: scale * get("atom", rate)
+                             for rate in ("gamma12", "gamma13", "gamma23", "gphi2", "gphi3")})
+        drives = DriveSet(*(Drive(magnitude=scale * get(name, "magnitude"),
+                                  phase=get(name, "phase"),
+                                  detuning=scale * get(name, "detuning"))
+                            for name in ("drives.d12", "drives.d13", "drives.d23")))
 
-    grid_lo = sweep.getfloat("lo", -4.0)
-    grid_hi = sweep.getfloat("hi", 4.0)
-    grid_points = sweep.getint("points", 801)
+    grid_lo = get("sweep", "lo")
+    grid_hi = get("sweep", "hi")
+    grid_points = get("sweep", "points")
     if mode in ("sweep", "phase-sweep", "fluxonium", "reflect"):
         if grid_points < 2:
             raise ValidationError(f"sweep needs points >= 2, got {grid_points}")
@@ -250,41 +186,34 @@ def parse_config(text: str, units: str | None = None, mode: str | None = None,
         grid_lo *= scale
         grid_hi *= scale
 
-    phases = sweep.getfloats("phases", DEFAULT_PHASES)
+    phases = get("sweep", "phases")
     if mode == "phase-sweep" and len(phases) == 0:
         raise ValidationError("phase-sweep needs a nonempty [sweep] phases list")
 
-    evolve_t = evolve.getfloat("t", 10.0)
+    evolve_t = get("evolve", "t")
     if mode == "evolve" and evolve_t < 0.0:
         raise ValidationError(f"evolve t must be >= 0, got {evolve_t}")
-    evolve_initial = evolve.getstr("initial", "ground")
+    evolve_initial = get("evolve", "initial")
     if evolve_initial not in INITIAL_STATES:
         raise ValidationError(
             f"evolve initial must be one of {INITIAL_STATES}, got {evolve_initial!r}")
 
     fluxonium = None
-    if mode == "fluxonium" and not flx.present():
+    if mode == "fluxonium" and not parser.has_section("fluxonium"):
         raise ValidationError("mode 'fluxonium' needs a [fluxonium] section")
-    if flx.present():
-        basis_size = flx.getint("basis_size", FluxoniumParams.basis_size)
+    if parser.has_section("fluxonium"):
+        basis_size = get("fluxonium", "basis_size")
         if basis_size > MAX_BASIS_SIZE:
             raise ValidationError(
                 f"basis_size must be <= {MAX_BASIS_SIZE}, got {basis_size}")
-        try:
-            fluxonium = FluxoniumParams(
-                ej=flx.getfloat("ej", EXAMPLE_EJ),
-                ec=flx.getfloat("ec", EXAMPLE_EC),
-                el=flx.getfloat("el", EXAMPLE_EL),
-                basis_size=basis_size,
-            )
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-    gamma_ref_mhz = flx.getfloat("gamma_ref_mhz", None)
+        fluxonium = FluxoniumParams(ej=get("fluxonium", "ej"), ec=get("fluxonium", "ec"),
+                                    el=get("fluxonium", "el"), basis_size=basis_size)
+    gamma_ref_mhz = get("fluxonium", "gamma_ref_mhz")
     if gamma_ref_mhz is not None and gamma_ref_mhz <= 0.0:
         raise ValidationError(f"gamma_ref_mhz must be > 0, got {gamma_ref_mhz}")
 
-    a_in = complex(reflect.getfloat("a_in_re", 1.0), reflect.getfloat("a_in_im", 0.0))
-    tie = reflect.getbool("tie_probe_to_input", False)
+    a_in = complex(get("reflect", "a_in_re"), get("reflect", "a_in_im"))
+    tie = get("reflect", "tie_probe_to_input")
 
     return RunConfig(
         mode=mode,
@@ -301,15 +230,15 @@ def parse_config(text: str, units: str | None = None, mode: str | None = None,
         gamma_ref_mhz=gamma_ref_mhz,
         a_in=a_in,
         tie_probe_to_input=tie,
-        out_dir=output.getstr("dir", "out") if out_dir is None else out_dir,
-        basename=output.getstr("basename", ""),
+        out_dir=get("output", "dir") if out_dir is None else out_dir,
+        basename=get("output", "basename"),
     )
 
 
 def dump_config(cfg: RunConfig) -> str:
     """Render a RunConfig back to config text (internal units, so the
     dump always carries ``units = gamma13``); re-parsing reproduces the
-    same RunConfig."""
+    same RunConfig, with ``units = "gamma13"``."""
     lines = ["[run]", f"mode = {cfg.mode}"]
     if cfg.dec is not None and cfg.drives is not None:
         lines += [

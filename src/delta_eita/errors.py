@@ -53,5 +53,9 @@ class ParseError(DeltaEitaError):
     """A config document is malformed or contains unknown sections/keys."""
 
 
-class ValidationError(DeltaEitaError):
-    """A parsed config value violates a model invariant."""
+class ValidationError(DeltaEitaError, ValueError):
+    """A config value, or an argument of a model type (``Drive``,
+    ``Decoherence``, ``FluxoniumParams``), violates a model invariant.
+
+    Also a ValueError, so callers catching ValueError from the model
+    types keep working."""

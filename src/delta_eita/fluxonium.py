@@ -38,7 +38,7 @@ import numpy as np
 
 from . import numerics
 from .csvout import write_csv
-from .errors import BasisTooSmall, NoSignChange
+from .errors import BasisTooSmall, NoSignChange, ValidationError
 
 #: Convergence demanded of the lowest three eigenvalues when the basis
 #: grows by BASIS_STEP states.
@@ -65,12 +65,12 @@ class FluxoniumParams:
         for name in ("ej", "ec", "el"):
             v = float(getattr(self, name))
             if not np.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be > 0, got {v}")
+                raise ValidationError(f"{name} must be > 0, got {v}")
             object.__setattr__(self, name, v)
         if not float(self.basis_size).is_integer():
-            raise ValueError(f"basis_size must be a whole number, got {self.basis_size}")
+            raise ValidationError(f"basis_size must be a whole number, got {self.basis_size}")
         if int(self.basis_size) < 30:
-            raise ValueError(f"basis_size must be >= 30, got {self.basis_size}")
+            raise ValidationError(f"basis_size must be >= 30, got {self.basis_size}")
         object.__setattr__(self, "basis_size", int(self.basis_size))
 
 

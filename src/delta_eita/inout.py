@@ -28,6 +28,7 @@ import numpy as np
 
 from .atom import Decoherence, DriveSet
 from .csvout import write_csv
+from .errors import ValidationError
 from .numerics import scale_complex
 from .spectroscopy import SpectrumTable, sweep_detuning
 
@@ -70,7 +71,12 @@ def reflection_spectrum(drives: DriveSet, dec: Decoherence, a_in: complex, grid,
     the pump/control drives solely through rho31.
     """
     if tie_probe_to_input:
-        drives = drives.with_probe_magnitude(2.0 * np.sqrt(dec.gamma13) * abs(a_in))
+        with np.errstate(over="ignore"):  # np.hypot is abs(a_in) without its OverflowError
+            magnitude = 2.0 * np.sqrt(dec.gamma13) * np.hypot(a_in.real, a_in.imag)
+        if not np.isfinite(magnitude):
+            raise ValidationError(
+                f"tied probe magnitude 2 sqrt(gamma13) |a_in| is not finite for a_in={a_in}")
+        drives = drives.with_probe_magnitude(magnitude)
     table = sweep_detuning(drives, dec, grid)
     return reflection_from_table(table, a_in)
 

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from delta_eita import Decoherence, Drive, DriveSet, global_phase, rotating_hamiltonian
+from delta_eita import (
+    Decoherence,
+    Drive,
+    DriveSet,
+    FluxoniumParams,
+    ValidationError,
+    global_phase,
+    rotating_hamiltonian,
+)
 
 
 def lab_hamiltonian(t, drives, levels):
@@ -57,6 +65,20 @@ class TestDriveValidation:
     def test_decoherence_needs_decay_to_ground(self):
         with pytest.raises(ValueError):
             Decoherence(gamma12=0.0, gamma13=0.0, gamma23=0.5)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Drive(float("inf")), "drive magnitude must be >= 0, got inf"),
+        (lambda: Drive(1.0, detuning=float("nan")), "drive phase/detuning must be finite"),
+        (lambda: Decoherence(1.0, -1.0, 0.0), "gamma13 must be a finite rate >= 0, got -1.0"),
+        (lambda: FluxoniumParams(ej=9.0, ec=0.0, el=0.52), "ec must be > 0, got 0.0"),
+        (lambda: FluxoniumParams(ej=9.0, ec=2.5, el=0.52, basis_size=29),
+         "basis_size must be >= 30, got 29"),
+    ], ids=["magnitude", "detuning", "rate", "energy", "basis"])
+    def test_model_types_raise_validation_error(self, build, message):
+        # a ValidationError is a ValueError too, so both kinds of caller catch it
+        with pytest.raises(ValidationError) as got:
+            build()
+        assert isinstance(got.value, ValueError) and str(got.value) == message
 
 
 class TestRotatingHamiltonian:

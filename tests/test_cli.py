@@ -1,3 +1,5 @@
+import configparser
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from delta_eita.config import (
     MAX_BASIS_SIZE,
     MAX_GRID_POINTS,
     MODES,
+    _SCHEMA,
     dump_config,
     parse_config,
 )
@@ -160,6 +163,29 @@ CONFIG_OUTCOMES = [
 ]
 
 
+#: A value other than the default for every _SCHEMA key, except
+#: [drives.d12] detuning, which a config may not set.
+EVERY_KEY = {
+    "run": {"mode": "reflect"},
+    "atom": {"units": "MHz", "gamma12": "0.2", "gamma13": "0.9", "gamma23": "0.3",
+             "gphi2": "0.05", "gphi3": "0.07"},
+    "drives.d12": {"magnitude": "0.25", "phase": "0.5"},
+    "drives.d13": {"magnitude": "0.15", "phase": "1.5", "detuning": "0.1"},
+    "drives.d23": {"magnitude": "1.2", "phase": "2.5", "detuning": "-0.2"},
+    "sweep": {"lo": "-3.0", "hi": "3.5", "points": "61", "phases": "0.25,1.25"},
+    "evolve": {"t": "4.0", "initial": "mixed"},
+    "fluxonium": {"ej": "8.0", "ec": "2.0", "el": "0.6", "basis_size": "60",
+                  "gamma_ref_mhz": "9.0"},
+    "reflect": {"a_in_re": "0.5", "a_in_im": "-0.25", "tie_probe_to_input": "true"},
+    "output": {"dir": "results", "basename": "every_key"},
+}
+
+
+def render(sections):
+    return "\n".join(f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+                     for name, keys in sections.items())
+
+
 class TestParseConfig:
     @pytest.mark.parametrize("text, overrides, error, message", CONFIG_OUTCOMES)
     def test_outcome_table(self, text, overrides, error, message):
@@ -169,6 +195,31 @@ class TestParseConfig:
         with pytest.raises(error) as got:
             parse_config(text, **overrides)
         assert (type(got.value), str(got.value)) == (error, message)
+
+    def test_every_schema_key_is_read_and_dumped(self):
+        keys = {(name, key) for name in EVERY_KEY for key in EVERY_KEY[name]}
+        assert {(name, key) for name in _SCHEMA for key in _SCHEMA[name]} - keys == {
+            ("drives.d12", "detuning")}
+        for name, key in keys:
+            convert, default = _SCHEMA[name][key]
+            assert convert(EVERY_KEY[name][key]) != default, (name, key)
+        cfg = parse_config(render(EVERY_KEY))
+        dump = dump_config(cfg)
+        # the dump is in internal units, so it re-parses as a gamma13 config
+        assert parse_config(dump) == dataclasses.replace(cfg, units="gamma13")
+        dumped = configparser.ConfigParser(interpolation=None)
+        dumped.read_string(dump)
+        assert [k for k in sorted(keys) if not dumped.has_option(*k)] == []
+        assert dumped.get("atom", "units") == "gamma13"
+        # each key reaches the RunConfig: back at its default, the config differs
+        for name, key in keys:
+            without = {n: {k: v for k, v in kv.items() if (n, k) != (name, key)}
+                       for n, kv in EVERY_KEY.items()}
+            if (name, key) == ("run", "mode"):
+                with pytest.raises(ValidationError, match="missing"):
+                    parse_config(render(without))
+            else:
+                assert parse_config(render(without)) != cfg, (name, key)
 
     def test_minimal_round_trip(self):
         cfg = parse_config(MINIMAL_EIT)
@@ -390,6 +441,12 @@ class TestExitCodes:
     def test_missing_file(self):
         assert main(["--config", "/nonexistent/run.ini"]) == 1
 
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"[run]\nmode = steady\xff\n")
+        assert main(["--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read config: 'utf-8' codec")
+
     def test_parse_error(self, tmp_path):
         cfg = self.write(tmp_path, MINIMAL_EIT + "\nnot-a-section\n")
         assert main(["--config", cfg]) == 1
@@ -440,6 +497,21 @@ class TestExitCodes:
         assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
             "validation error: delta12 = delta13 - delta23 is not finite at delta13=-1e+308\n")
+
+    @pytest.mark.parametrize("a_in", ["1e308", "1.5e308"])
+    def test_overflowing_tied_probe_is_validation_error(self, tmp_path, capsys, a_in):
+        # 2 sqrt(gamma13) |a_in| overflows; |a_in| alone does at 1.5e308; with
+        # warnings as errors, an overflow warning would fail this test
+        text = (CONFIG_DIR / "reflect.ini").read_text(encoding="utf-8")
+        text = (text.replace("a_in_re = 1.0", f"a_in_re = {a_in}")
+                .replace("a_in_im = 0.0", f"a_in_im = {a_in}")
+                .replace("tie_probe_to_input = false", "tie_probe_to_input = true"))
+        assert main(["--config", self.write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+        value = complex(float(a_in), float(a_in))
+        assert capsys.readouterr().err == (
+            "validation error: tied probe magnitude 2 sqrt(gamma13) |a_in| is not finite "
+            f"for a_in={value}\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode, prefix", [
         ("steady", ""), ("sweep", "at delta13=-2: "), ("evolve", "")])
