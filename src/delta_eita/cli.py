@@ -72,6 +72,12 @@ def _summarize_sweep(table: SpectrumTable, path) -> str:
             f"csv={path}")
 
 
+def _csv_units(cfg: RunConfig) -> str:
+    """The unit of a spectrum CSV's detunings and rates: an MHz config
+    holds them as angular frequencies, 2pi x MHz = rad/us."""
+    return "rad/us" if cfg.units == "MHz" else cfg.units
+
+
 def run(cfg: RunConfig) -> int:
     """Execute one mode; returns the process exit status."""
     if cfg.mode == "steady":
@@ -87,7 +93,7 @@ def run(cfg: RunConfig) -> int:
     if cfg.mode == "sweep":
         table = sweep_detuning(cfg.drives, cfg.dec, cfg.grid())
         path = _out_path(cfg, "sweep")
-        write_spectrum_csv(table, path, {"units": cfg.units})
+        write_spectrum_csv(table, path, {"units": _csv_units(cfg)})
         print(f"sweep n={len(table)} {_summarize_sweep(table, path)}")
         return 0
 
@@ -100,7 +106,7 @@ def run(cfg: RunConfig) -> int:
             drives = cfg.drives.with_loop_phase(phi)
             table = sweep_detuning(drives, cfg.dec, cfg.grid())
             path = _out_path(cfg, "phase_sweep", label)
-            write_spectrum_csv(table, path, {"units": cfg.units})
+            write_spectrum_csv(table, path, {"units": _csv_units(cfg)})
             print(f"phase-sweep phi={phi:.4f} n={len(table)} "
                   f"{_summarize_sweep(table, path)}")
         return 0
@@ -145,7 +151,7 @@ def run(cfg: RunConfig) -> int:
         path = _out_path(cfg, "reflect")
         write_reflection_csv(reflection, path, {
             "a_in": cfg.a_in, "gamma13": cfg.dec.gamma13,
-            "loop_phase": reflection.table.loop_phase, "units": cfg.units,
+            "loop_phase": reflection.table.loop_phase, "units": _csv_units(cfg),
         })
         edge = max(abs(a - cfg.a_in) for a in reflection.a_out[[0, -1]].tolist())
         print(f"reflect n={len(reflection.a_out)} edge_|aout-ain|={edge:.4g} csv={path}")

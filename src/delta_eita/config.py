@@ -62,9 +62,9 @@ _SCHEMA = {
     "output": {"dir": (str.strip, "out"), "basename": (str.strip, "")},
 }
 
-#: Upper bounds on the two sizes a config sets, each allowing ~1 GB: a
-#: sweep holds ~1 KB per grid point at its peak (the table and its CSV
-#: text), and a fluxonium spectrum ~250 B per squared basis state (its
+#: Upper bounds on the two sizes a config sets, each allowing up to ~1 GB:
+#: a sweep holds ~0.75 KB per grid point at its peak (the table and its
+#: CSV text), and a fluxonium spectrum ~250 B per squared basis state (its
 #: cached operators and the two eigensolves).  A larger value is a
 #: ValidationError before anything is allocated.
 MAX_GRID_POINTS = 1_000_000

@@ -144,6 +144,23 @@ def build_liouvillian(h, dec: Decoherence) -> np.ndarray:
 _DIAG_A, _DIAG_B = np.divmod(np.arange(DIM * DIM), DIM)
 
 
+def _template_and_diagonals(h, diagonals, dec: Decoherence):
+    """``build_liouvillian`` of ``h`` with a zero diagonal, and the ``(m, 9)``
+    diagonals of L that each row of ``diagonals`` gives, written by that
+    function's operations (see :func:`build_liouvillian_block`)."""
+    h = numerics.as_complex_matrix(h).copy()
+    np.fill_diagonal(h, 0.0)
+    hd = np.asarray(diagonals, dtype=float).astype(complex)
+    template = build_liouvillian(h, dec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = -1j * (hd[:, _DIAG_B] - hd[:, _DIAG_A])
+        for term in _rate_terms(dec):
+            diag += term.diagonal()
+    if not np.all(np.isfinite(diag)):
+        raise InvariantViolation("Liouvillian is not finite: rates or drives overflow")
+    return template, diag
+
+
 def build_liouvillian_block(h, diagonals, dec: Decoherence) -> np.ndarray:
     """Generators of ``h`` with its diagonal replaced by each row of the
     real ``(m, 3)`` array ``diagonals``, as an ``(m, 9, 9)`` stack.
@@ -157,16 +174,8 @@ def build_liouvillian_block(h, diagonals, dec: Decoherence) -> np.ndarray:
     diagonal, with its 9 diagonal entries written by that function's
     operations.
     """
-    h = numerics.as_complex_matrix(h).copy()
-    np.fill_diagonal(h, 0.0)
-    hd = np.asarray(diagonals, dtype=float).astype(complex)
-    lv = np.repeat(build_liouvillian(h, dec)[None], len(hd), axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        diag = -1j * (hd[:, _DIAG_B] - hd[:, _DIAG_A])
-        for term in _rate_terms(dec):
-            diag += term.diagonal()
-    if not np.all(np.isfinite(diag)):
-        raise InvariantViolation("Liouvillian is not finite: rates or drives overflow")
+    template, diag = _template_and_diagonals(h, diagonals, dec)
+    lv = np.repeat(template[None], len(diag), axis=0)
     i = np.arange(DIM * DIM)
     lv[:, i, i] = diag
     return lv
@@ -243,6 +252,49 @@ def validate_density_matrix(rho, trace_tol: float = DENSITY_TRACE_TOL,
     return sym
 
 
+def _column_major(generators, m: int) -> np.ndarray:
+    """``generators`` (a stack, or one matrix for every member) copied into
+    an ``(m, 9, 9)`` stack of column-major members, the layout ``zgesv``
+    factors in place."""
+    a = np.empty((m, DIM * DIM, DIM * DIM), dtype=complex).transpose(0, 2, 1)
+    a[...] = generators
+    return a
+
+
+def _solve_trace_systems(a) -> np.ndarray:
+    """The ``(m, 9)`` solutions of the steady-state systems of the
+    column-major generators ``a``: row 0 of each is replaced by the trace
+    row and the system solved in place."""
+    a[:, 0, :] = _TRACE_ROW
+    x = np.zeros(a.shape[:-1], dtype=complex)
+    x[:, 0] = 1.0
+    try:
+        numerics.solve_in_place(a, x)
+    except SingularMatrix as exc:
+        raise DegenerateSteadyState(f"singular steady-state solve: {exc}") from exc
+    return x
+
+
+def _residual(lv, x) -> np.ndarray:
+    """||L vec(rho)||_inf of each member, flattened."""
+    return np.max(np.abs((lv @ x[..., None])[..., 0]), axis=-1).reshape(-1)
+
+
+def _gated_states(x, residual) -> np.ndarray:
+    """The states of the solutions ``x`` ``(..., 9)`` once every residual
+    is within ``STEADY_STATE_RESIDUAL``, validated."""
+    # "not within bound", so that a solve that overflowed to NaN fails too
+    failed = ~(residual <= STEADY_STATE_RESIDUAL)
+    if np.any(failed):
+        k = int(np.argmax(failed))
+        raise DegenerateSteadyState(
+            f"steady-state residual {residual[k]:.3e} exceeds "
+            f"{STEADY_STATE_RESIDUAL:.0e} (nullity > 1?)")
+    # column stacking, as in devectorize, for every member at once
+    rho = np.swapaxes(x.reshape(x.shape[:-1] + (DIM, DIM)), -1, -2)
+    return validate_density_matrix(rho)
+
+
 def steady_state(lv) -> np.ndarray:
     """Unique unit-trace state in the kernel of the Liouvillian.
 
@@ -260,25 +312,52 @@ def steady_state(lv) -> np.ndarray:
     lv = numerics.as_complex_matrix(lv, stack=True)
     if lv.shape[-2:] != (DIM * DIM, DIM * DIM):
         raise DimensionMismatch(f"expected 9x9 Liouvillian, got {lv.shape}")
-    a = lv.copy()
-    a[..., 0, :] = _TRACE_ROW
-    b = np.zeros(DIM * DIM, dtype=complex)
-    b[0] = 1.0
-    try:
-        x = numerics.solve_linear(a, b)
-    except SingularMatrix as exc:
-        raise DegenerateSteadyState(f"singular steady-state solve: {exc}") from exc
-    residual = np.max(np.abs((lv @ x[..., None])[..., 0]), axis=-1).reshape(-1)
-    # "not within bound", so that a solve that overflowed to NaN fails too
-    failed = ~(residual <= STEADY_STATE_RESIDUAL)
-    if np.any(failed):
-        k = int(np.argmax(failed))
-        raise DegenerateSteadyState(
-            f"steady-state residual {residual[k]:.3e} exceeds "
-            f"{STEADY_STATE_RESIDUAL:.0e} (nullity > 1?)")
-    # column stacking, as in devectorize, for every member at once
-    rho = np.swapaxes(x.reshape(x.shape[:-1] + (DIM, DIM)), -1, -2)
-    return validate_density_matrix(rho)
+    stack = lv.reshape(-1, DIM * DIM, DIM * DIM)
+    x = _solve_trace_systems(_column_major(stack, len(stack))).reshape(lv.shape[:-1])
+    return _gated_states(x, _residual(lv, x))
+
+
+#: Relative margin of the residual certificate: a member's cheap residual
+#: clears the gate when it is below ``STEADY_STATE_RESIDUAL`` by this
+#: fraction of its term size max_i sum_j |L_ij| |x_j|.  Two evaluation
+#: orders of a 9-term complex dot product (L x)_i differ by at most ~40 u
+#: (u = 2**-53) of that size (Higham, Accuracy and Stability of Numerical
+#: Algorithms, sec. 3.1 and 3.6); the margin is ~200 times that.
+_RESIDUAL_MARGIN = 1e-12
+
+
+def steady_state_block(h, diagonals, dec: Decoherence) -> np.ndarray:
+    """Steady states of ``build_liouvillian_block(h, diagonals, dec)``,
+    each bit for bit ``steady_state`` of its member, without building
+    that stack: an ``(m, 3, 3)`` array.
+
+    The trace-row systems are written straight from the generator
+    template and each member's 9 diagonal entries into one column-major
+    buffer, which :func:`numerics.solve_in_place` factors and solves
+    where it lies.  The residual comes from the template's off-diagonal
+    part plus the diagonal; a member whose residual clears the gate by
+    ``_RESIDUAL_MARGIN`` of the size of its terms passes, and every other
+    member (near the bound, failing or not finite) is rechecked against
+    its materialized generator as ``steady_state`` checks it.  So every
+    gate outcome and message is that of ``steady_state`` on the stack.
+    """
+    diagonals = np.asarray(diagonals, dtype=float)
+    template, diag = _template_and_diagonals(h, diagonals, dec)
+    a = _column_major(template, len(diag))
+    i = np.arange(DIM * DIM)
+    a[:, i, i] = diag
+    x = _solve_trace_systems(a)
+    del a  # the factors: free before the residuals and the states
+    off = template.copy()
+    np.fill_diagonal(off, 0.0)
+    with np.errstate(all="ignore"):
+        residual = np.max(np.abs(x @ off.T + diag * x), axis=-1)
+        size = np.max(np.abs(x) @ np.abs(off).T + np.abs(diag) * np.abs(x), axis=-1)
+    unsure = ~(residual <= STEADY_STATE_RESIDUAL - _RESIDUAL_MARGIN * size)
+    if np.any(unsure):
+        residual[unsure] = _residual(build_liouvillian_block(h, diagonals[unsure], dec),
+                                     x[unsure])
+    return _gated_states(x, residual)
 
 
 def propagate(lv, rho0, times) -> np.ndarray:

@@ -71,7 +71,7 @@ def scale_complex(z, c: complex):
 def _lapack():
     """scipy's LAPACK wrappers, the extension ``scipy.linalg._flapack``.
 
-    Its ``zgesv`` (``zgetrf`` then ``zgetrs``) serves :func:`solve_linear`,
+    Its ``zgesv`` (``zgetrf`` then ``zgetrs``) serves :func:`solve_in_place`,
     and its tridiagonal bisection ``dstebz`` serves
     ``verify.realspace_levels``.  The extension is loaded from its file on
     its own, so the scipy package (~0.3 s of imports) is never imported.
@@ -89,18 +89,10 @@ def solve_linear(a, b) -> np.ndarray:
 
     ``a`` is ``(n, n)`` or a stack ``(m, n, n)``; the length-n right-hand
     side ``b`` is shared by every member, and ``x`` has shape
-    ``a.shape[:-1]``.  Each member is factored and solved on its own by
-    one ``zgesv`` call (see :func:`_lapack`), so every member's solution
-    is bit for bit the one it gets alone.  OpenBLAS solves systems this
-    small in ``zgesv`` on one thread, so the bits do not depend on the
-    BLAS thread count; they are those of scipy's ``lu_factor`` and
-    ``lu_solve`` on one thread (on more, OpenBLAS's ``zgetrs`` takes a
-    parallel triangular solve that rounds differently).
-
-    Raises SingularMatrix when a member's smallest pivot falls below
-    ``SINGULARITY_THRESHOLD`` relative to its largest entry, once every
-    member is solved and before any solution is returned.  For a stack
-    the message is that of the first such member, as if solved alone.
+    ``a.shape[:-1]``.  The solve is :func:`solve_in_place` on a
+    column-major copy of ``a``, so every member's solution is bit for bit
+    the one it gets alone, and a member failing the relative-pivot gate
+    raises SingularMatrix as described there.
     """
     a = as_complex_matrix(a, stack=True)
     b = as_complex_vector(b)
@@ -108,17 +100,44 @@ def solve_linear(a, b) -> np.ndarray:
         raise DimensionMismatch(
             f"rhs length {b.shape[0]} does not match matrix size {a.shape[-1]}")
     stack = a.reshape((-1,) + a.shape[-2:])
-    gesv = _lapack().zgesv
-    # zgesv factors a member in place only when it is column-major, so the
-    # copy is, and solves in place into its contiguous row of x; an exactly
-    # zero pivot (info > 0) is left to the gate below.  overwrite_a and
-    # overwrite_b go by position: as keywords they cost ~0.6 us a call.
     lu = np.swapaxes(np.swapaxes(stack, -1, -2).copy(), -1, -2)
     x = np.repeat(b[None], len(lu), axis=0)
-    for member, row in zip(lu, x):
+    solve_in_place(lu, x)
+    return x.reshape(a.shape[:-1])
+
+
+def solve_in_place(a: np.ndarray, x: np.ndarray) -> None:
+    """Solve ``a[k] @ y = x[k]`` for each member of the stack ``a``
+    ``(m, n, n)``, in place: ``x`` ``(m, n)`` holds the right-hand sides
+    and receives the solutions, and ``a`` the LU factors.
+
+    Both are complex128; each member of ``a`` is column-major and ``x``
+    C-contiguous (ValueError otherwise), so that one ``zgesv`` call per
+    member (see :func:`_lapack`) factors and solves it where it lies.
+    OpenBLAS solves systems this small in ``zgesv`` on one thread, so the
+    bits do not depend on the BLAS thread count; they are those of
+    scipy's ``lu_factor`` and ``lu_solve`` on one thread (on more,
+    OpenBLAS's ``zgetrs`` takes a parallel triangular solve that rounds
+    differently).
+
+    Raises SingularMatrix when a member's smallest pivot falls below
+    ``SINGULARITY_THRESHOLD`` relative to its largest entry, once every
+    member is solved.  The message is that of the first such member, as
+    if solved alone.
+    """
+    if (a.dtype != complex or x.dtype != complex or a.ndim != 3
+            or a.shape[:-1] != x.shape or a.shape[-2] != a.shape[-1]
+            or not np.swapaxes(a, -1, -2).flags.c_contiguous or not x.flags.c_contiguous):
+        raise ValueError("solve_in_place needs column-major (m, n, n) and "
+                         "contiguous (m, n) complex arrays")
+    scale = np.max(np.abs(a), axis=(-2, -1))
+    gesv = _lapack().zgesv
+    # an exactly zero pivot (info > 0) is left to the gate below;
+    # overwrite_a and overwrite_b go by position: as keywords they cost
+    # ~0.6 us a call
+    for member, row in zip(a, x):
         gesv(member, row, 1, 1)
-    scale = np.max(np.abs(stack), axis=(-2, -1))
-    pivots = np.min(np.abs(np.diagonal(lu, axis1=-2, axis2=-1)), axis=-1)
+    pivots = np.min(np.abs(np.diagonal(a, axis1=-2, axis2=-1)), axis=-1)
     singular = (scale == 0.0) | (pivots < SINGULARITY_THRESHOLD * scale)
     if np.any(singular):
         k = int(np.argmax(singular))
@@ -127,7 +146,6 @@ def solve_linear(a, b) -> np.ndarray:
         raise SingularMatrix(
             f"relative pivot {pivots[k] / scale[k]:.3e} below "
             f"{SINGULARITY_THRESHOLD:.0e}")
-    return x.reshape(a.shape[:-1])
 
 
 #: Coefficients b_0 ... b_13 of the degree-13 Pade approximant to exp

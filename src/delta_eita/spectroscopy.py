@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
     WindowTooNarrow,
 )
-from .lindblad import build_liouvillian, build_liouvillian_block, steady_state
+from .lindblad import build_liouvillian, steady_state, steady_state_block
 from .numerics import scale_complex
 
 CLASSIFICATIONS = ("EIT", "LWI", "EITA", "ABSORPTION", "AMPLIFICATION_WINDOW")
@@ -49,11 +49,16 @@ FLANK_COMPARABLE_FACTOR = 3.0
 KK_ENDPOINT_FRACTION = 0.05
 
 #: Probe detunings solved together as one stack in a sweep.  The block
-#: bounds the (block, 9, 9) generator stack and its copies in the solve:
-#: a 4001-point sweep raised peak RSS by ~4.7 MB in 1024-point blocks,
-#: ~18 MB in one stack and ~1 MB in 256-point blocks, and took ~15-20%
-#: less time than in 256-point blocks or one stack (22-29 ms against
-#: 28-35 ms, interleaved runs, one BLAS thread, 2-vCPU host).
+#: bounds the one (block, 9, 9) complex buffer a block is solved in (1.3 MB
+#: at 1024), which with |.| of it for the pivot gate is a sweep's traced
+#: peak, ~1.8-2.0 buffers.  Re-measured in the warm benchmark op mix (three
+#: interleaved rounds of 8 passes, op times scaled by the host-speed
+#: kernel, one BLAS thread, 2-vCPU host), blocks of 512 / 1024 / 2048 /
+#: 4001 points took 46.1 / 43.1 / 41.9 / 42.8 ms per 4001-point KK op and
+#: 34.3 / 32.3 / 32.0 / 32.3 ms per 4 x 801-point phase sweep, with 345 /
+#: 377 / 364 / 377 and 6 / 174 / 13 / 13 fresh page faults per op (means,
+#: ``ru_minflt``).  Above 1024 the time moves by less than 3% while the
+#: buffer grows with the block.
 SWEEP_BLOCK = 1024
 
 
@@ -187,14 +192,14 @@ def _sweep_block(drives: DriveSet, dec: Decoherence,
 
     Each member's Hamiltonian diagonal gets the entries
     ``rotating_hamiltonian`` gives it at that detuning, by the same
-    floating-point operations, and ``build_liouvillian_block`` builds each
-    generator bit for bit as ``build_liouvillian`` does, so every row is
-    bit for bit the ``probe_response`` row.
+    floating-point operations, and ``steady_state_block`` solves each
+    member bit for bit as ``steady_state`` solves its ``build_liouvillian``
+    generator, so every row is bit for bit the ``probe_response`` row.
     """
     diagonals = np.zeros((block.size, 3))
     diagonals[:, 1] = -(block - drives.d23.detuning)
     diagonals[:, 2] = -block
-    rho = steady_state(build_liouvillian_block(rotating_hamiltonian(drives), diagonals, dec))
+    rho = steady_state_block(rotating_hamiltonian(drives), diagonals, dec)
     return (scale_complex(rho[:, 2, 0], np.exp(1j * drives.d13.phase)),
             rho.diagonal(axis1=1, axis2=2).real)
 
@@ -203,8 +208,9 @@ def sweep_detuning(drives: DriveSet, dec: Decoherence, grid) -> SpectrumTable:
     """Probe sweep over a finite, strictly increasing detuning grid, on
     which delta12 = delta13 - delta23 must be finite too (ValidationError).
 
-    The grid is solved in stacked blocks of ``SWEEP_BLOCK`` detunings.
-    When a block fails, its points are solved one by one, so the error
+    The grid is solved in blocks of ``SWEEP_BLOCK`` detunings, each by
+    ``lindblad.steady_state_block`` in one buffer.  When a block fails,
+    its points are solved one by one, so the error
     comes from the first failing detuning in grid order, with the type
     and message ``probe_response`` gives there and that detuning attached.
     """

@@ -590,3 +590,18 @@ class TestUnitsOverride:
             assert main(["--config", str(path), "--units", units, "--dump-config"]) == 0
             expected = MINIMAL_EIT.replace("units = gamma13", f"units = {units}")
             assert capsys.readouterr().out == dump_config(parse_config(expected))
+
+    @pytest.mark.parametrize("config", ["eita", "phase_scan", "reflect"])
+    def test_mhz_csvs_name_the_unit_of_their_cells(self, tmp_path, config):
+        # an MHz config holds its detunings as angular frequencies inside
+        path = CONFIG_DIR / f"{config}.ini"
+        lo = parse_config(path.read_text(encoding="utf-8")).grid_lo
+        assert main(["--config", str(path), "--units", "MHz", "--out", str(tmp_path)]) == 0
+        csvs = sorted(tmp_path.glob("*.csv"))
+        assert csvs
+        for csv in csvs:
+            lines = csv.read_text(encoding="utf-8").splitlines()
+            assert "# units = 'rad/us'" in lines
+            header = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+            assert lines[header].startswith("delta13,")
+            assert lines[header + 1].split(",")[0] == repr(2.0 * np.pi * lo)

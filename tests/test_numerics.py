@@ -22,19 +22,21 @@ def random_complex(rng, shape):
 
 @pytest.fixture(scope="module")
 def stock_sweep_systems():
-    """Every ``(stack, rhs)`` the stock ``configs/eita.ini`` sweep solves."""
+    """Every ``(stack, rhs, solution)`` the stock ``configs/eita.ini`` sweep
+    solves, the rhs one row per member."""
     cfg = parse_config((CONFIG_DIR / "eita.ini").read_text(encoding="utf-8"))
     systems = []
-    solve = numerics.solve_linear
+    solve = numerics.solve_in_place
 
-    def spy(a, b):
-        systems.append((np.array(a), np.array(b)))
-        return solve(a, b)
+    def spy(a, x):
+        stack, rhs = np.array(a), x.copy()
+        solve(a, x)
+        systems.append((stack, rhs, x.copy()))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(numerics, "solve_linear", spy)
+        mp.setattr(numerics, "solve_in_place", spy)
         sweep_detuning(cfg.drives, cfg.dec, cfg.grid())
-    assert sum(len(a) for a, _ in systems) == cfg.grid_points
+    assert sum(len(a) for a, _, _ in systems) == cfg.grid_points
     return systems
 
 
@@ -123,7 +125,7 @@ def run_python(code: str, **env) -> str:
 
 def lu_factor_solutions(systems, tmp_path) -> list[np.ndarray]:
     """scipy's ``lu_factor``/``lu_solve`` solution of each ``(stack, rhs)``,
-    computed with the BLAS on one thread."""
+    the rhs shared or one per member, computed with the BLAS on one thread."""
     np.savez(tmp_path / "systems.npz", *[m for system in systems for m in system])
     run_python(f"""
 import numpy as np
@@ -131,7 +133,7 @@ from scipy.linalg import lu_factor, lu_solve
 z = np.load({str(tmp_path / "systems.npz")!r})
 m = [z[f"arr_{{k}}"] for k in range(len(z.files))]
 np.savez({str(tmp_path / "solutions.npz")!r}, *[
-    lu_solve(lu_factor(a, check_finite=False), b[:, None], check_finite=False)[..., 0]
+    lu_solve(lu_factor(a, check_finite=False), b[..., None], check_finite=False)[..., 0]
     for a, b in zip(m[::2], m[1::2])])
 """, **ONE_BLAS_THREAD)
     z = np.load(tmp_path / "solutions.npz")
@@ -144,9 +146,11 @@ class TestSolveLinearAgainstScipy:
 
     def test_solutions_on_stock_sweep(self, stock_sweep_systems, tmp_path):
         # the CSVs and the mirror-tie stdout lines rely on equality, not closeness
-        expected = lu_factor_solutions(stock_sweep_systems, tmp_path)
-        for (stack, b), x in zip(stock_sweep_systems, expected):
-            np.testing.assert_array_equal(numerics.solve_linear(stack, b), x)
+        expected = lu_factor_solutions([s[:2] for s in stock_sweep_systems], tmp_path)
+        for (stack, rhs, solved), x in zip(stock_sweep_systems, expected):
+            np.testing.assert_array_equal(solved, x)
+            assert np.all(rhs == rhs[0])
+            np.testing.assert_array_equal(numerics.solve_linear(stack, rhs[0]), x)
 
     def test_solutions_on_random_stacks(self, rng, tmp_path):
         systems = [(random_complex(rng, shape), random_complex(rng, shape[-1]))
@@ -192,19 +196,20 @@ import numpy as np
 from delta_eita import numerics, sweep_detuning
 from delta_eita.config import parse_config
 cfg = parse_config(open({str(CONFIG_DIR / "eita.ini")!r}, encoding="utf-8").read())
-solved, solve = [], numerics.solve_linear
+solved, solve = [], numerics.solve_in_place
 
-def spy(a, b):
-    solved.append((a, b, solve(a, b)))
-    return solved[-1][2]
+def spy(a, x):
+    stack, rhs = np.array(a), x.copy()
+    solve(a, x)
+    solved.append((stack, rhs, x))
 
-numerics.solve_linear = spy
+numerics.solve_in_place = spy
 sweep_detuning(cfg.drives, cfg.dec, cfg.grid())
 assert "scipy" not in sys.modules
 from scipy.linalg import lu_factor, lu_solve
 for a, b, x in solved:
     np.testing.assert_array_equal(
-        x, lu_solve(lu_factor(a, check_finite=False), b[:, None], check_finite=False)[..., 0])
+        x, lu_solve(lu_factor(a, check_finite=False), b[..., None], check_finite=False)[..., 0])
 print(sum(len(a) for a, _, _ in solved))
 """
         assert run_python(code, **ONE_BLAS_THREAD) == "801\n"

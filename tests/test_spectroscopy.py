@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from delta_eita import (
     sweep_detuning,
     sweep_phase,
 )
-from delta_eita import spectroscopy
+from delta_eita import lindblad, numerics, spectroscopy
 from delta_eita.lindblad import evolve, maximally_mixed
 from delta_eita.spectroscopy import SWEEP_BLOCK, SpectrumTable, kramers_kronig_grid
 
@@ -339,6 +341,27 @@ def per_point_table(drives, dec, grid):
                          drives=drives, dec=dec)
 
 
+def outcome(drives, dec, delta13):
+    """``probe_response``'s row at ``delta13``, or the message it raises."""
+    try:
+        return probe_response(drives, dec, delta13)
+    except DegenerateSteadyState as exc:
+        return str(exc)
+
+
+def residuals_and_sizes(drives, dec, grid):
+    """Per point, ``steady_state``'s residual ||L x||_inf and the size of its
+    terms, max_i sum_j |L_ij| |x_j|, from the same trace-row solve."""
+    out = []
+    for d in grid:
+        lv = build_liouvillian(rotating_hamiltonian(drives.with_probe_detuning(d)), dec)
+        a = lv.copy()
+        a[0] = [1, 0, 0, 0, 1, 0, 0, 0, 1]
+        x = numerics.solve_linear(a, np.eye(9)[0])
+        out.append((np.max(np.abs(lv @ x)), np.max(np.abs(lv) @ np.abs(x))))
+    return np.array(out).T
+
+
 class TestStackedSweep:
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 801, SWEEP_BLOCK - 1, SWEEP_BLOCK,
                                    SWEEP_BLOCK + 1, 2 * SWEEP_BLOCK + 1])
@@ -401,6 +424,56 @@ class TestStackedSweep:
         else:
             assert bad is None
             assert_same_table(sweep_detuning(drives, dec, grid), expected)
+
+    @pytest.mark.parametrize("levels", ["residuals", "residuals-plus-margin"])
+    def test_residual_gate_outcomes_equal_per_point(self, monkeypatch, levels):
+        # the bound moved among the residuals puts every member inside the
+        # recheck margin, with some failing; moved among residual + margin,
+        # it splits the members between the cheap clearance and the recheck
+        drives = DriveSet(Drive(0.3, 0.4), Drive(0.2, 0.7), Drive(1.2, -1.1, 0.3))
+        dec = Decoherence(gamma12=0.1, gamma13=1.0, gamma23=0.1, gphi2=0.05, gphi3=0.2)
+        grid = np.linspace(-6.0, 6.0, 61)
+        residual, size = residuals_and_sizes(drives, dec, grid)
+        if levels == "residuals-plus-margin":
+            residual = residual + lindblad._RESIDUAL_MARGIN * size
+        rechecked, build = [], lindblad.build_liouvillian_block
+        monkeypatch.setattr(lindblad, "build_liouvillian_block",
+                            lambda h, d, dec: rechecked.append(len(d)) or build(h, d, dec))
+        for bound in np.quantile(residual, [0.2, 0.5, 0.8]):
+            monkeypatch.setattr(lindblad, "STEADY_STATE_RESIDUAL", bound)
+            rows = [outcome(drives, dec, d) for d in grid]
+            kept = [k for k, row in enumerate(rows) if not isinstance(row, str)]
+            assert 0 < len(kept) < len(grid) or levels == "residuals-plus-margin"
+            rechecked.clear()
+            rho31, pops = spectroscopy._sweep_block(drives, dec, grid[kept])
+            assert 0 < sum(rechecked) <= len(kept)
+            if levels == "residuals":
+                assert sum(rechecked) == len(kept)
+            else:
+                assert sum(rechecked) < len(kept)
+            assert rho31.tobytes() == np.concatenate([rows[k].rho31 for k in kept]).tobytes()
+            assert pops.tobytes() == np.concatenate([rows[k].populations for k in kept]).tobytes()
+            for k, row in enumerate(rows):
+                if isinstance(row, str):
+                    with pytest.raises(DegenerateSteadyState) as err:
+                        spectroscopy._sweep_block(drives, dec, grid[sorted(kept + [k])])
+                    assert str(err.value) == row
+
+    @pytest.mark.parametrize("grid", [np.linspace(-4.0, 4.0, 801), kramers_kronig_grid()],
+                             ids=["801", "4001"])
+    def test_traced_peak_stays_below_two_and_a_half_stacks(self, stock_drives, stock_dec, grid):
+        # one (block, 9, 9) buffer solved in place, plus |.| of it for the
+        # pivot gate; the generator stack and its two copies peaked at 3.65
+        # (801 points) and 3.91 (4001) such stacks
+        sweep_detuning(stock_drives, stock_dec, grid)
+        tracemalloc.start()
+        try:
+            sweep_detuning(stock_drives, stock_dec, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = min(grid.size, SWEEP_BLOCK) * 81 * np.dtype(complex).itemsize
+        assert peak < 2.5 * stack, peak / stack
 
     def test_degenerate_error_names_first_point(self):
         # level 3 disconnected: every point is degenerate, the first one raises
