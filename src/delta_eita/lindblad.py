@@ -63,6 +63,8 @@ SIGMA33 = _unit(2, 2)
 _IDENTITY = np.eye(DIM, dtype=complex)
 _TRACE_ROW = np.zeros(DIM * DIM)
 _TRACE_ROW[[0, 4, 8]] = 1.0
+#: Right-hand side of the steady-state system: the trace row's 1, else 0.
+_UNIT_TRACE = np.eye(1, DIM * DIM, dtype=complex)[0]
 
 
 def vectorize(rho) -> np.ndarray:
@@ -145,9 +147,19 @@ _DIAG_A, _DIAG_B = np.divmod(np.arange(DIM * DIM), DIM)
 
 
 def _template_and_diagonals(h, diagonals, dec: Decoherence):
-    """``build_liouvillian`` of ``h`` with a zero diagonal, and the ``(m, 9)``
-    diagonals of L that each row of ``diagonals`` gives, written by that
-    function's operations (see :func:`build_liouvillian_block`)."""
+    """The generators of ``h`` with its diagonal replaced by each row of the
+    real ``(m, 3)`` array ``diagonals``, as the template ``build_liouvillian``
+    of ``h`` with a zero diagonal and the ``(m, 9)`` diagonals of L.
+
+    Written out by :func:`_generators`, each member is bit for bit
+    ``build_liouvillian`` of its own Hamiltonian, and an overflowing
+    member raises as that would.  L reads the diagonal of H by value only
+    on its own diagonal, -i (h_bb - h_aa) at 3a + b; elsewhere only
+    through products 0 * h_aa, zeros whose sign the decay sum drops by
+    adding +0 or a positive rate to every off-diagonal entry.  So each
+    member is the template with its 9 diagonal entries written by that
+    function's operations.
+    """
     h = numerics.as_complex_matrix(h).copy()
     np.fill_diagonal(h, 0.0)
     hd = np.asarray(diagonals, dtype=float).astype(complex)
@@ -161,21 +173,11 @@ def _template_and_diagonals(h, diagonals, dec: Decoherence):
     return template, diag
 
 
-def build_liouvillian_block(h, diagonals, dec: Decoherence) -> np.ndarray:
-    """Generators of ``h`` with its diagonal replaced by each row of the
-    real ``(m, 3)`` array ``diagonals``, as an ``(m, 9, 9)`` stack.
-
-    Each member is bit for bit ``build_liouvillian`` of its own
-    Hamiltonian and raises as that would.  L reads the diagonal of H by
-    value only on its own diagonal, -i (h_bb - h_aa) at 3a + b; elsewhere
-    only through products 0 * h_aa, zeros whose sign the decay sum drops
-    by adding +0 or a positive rate to every off-diagonal entry.  So each
-    member is the template ``build_liouvillian`` of ``h`` with a zero
-    diagonal, with its 9 diagonal entries written by that function's
-    operations.
-    """
-    template, diag = _template_and_diagonals(h, diagonals, dec)
-    lv = np.repeat(template[None], len(diag), axis=0)
+def _generators(template, diag) -> np.ndarray:
+    """``template`` with each row of the ``(m, 9)`` array ``diag`` written
+    on its diagonal, as an ``(m, 9, 9)`` stack."""
+    lv = np.empty((len(diag),) + template.shape, dtype=complex)
+    lv[...] = template
     i = np.arange(DIM * DIM)
     lv[:, i, i] = diag
     return lv
@@ -252,29 +254,6 @@ def validate_density_matrix(rho, trace_tol: float = DENSITY_TRACE_TOL,
     return sym
 
 
-def _column_major(generators, m: int) -> np.ndarray:
-    """``generators`` (a stack, or one matrix for every member) copied into
-    an ``(m, 9, 9)`` stack of column-major members, the layout ``zgesv``
-    factors in place."""
-    a = np.empty((m, DIM * DIM, DIM * DIM), dtype=complex).transpose(0, 2, 1)
-    a[...] = generators
-    return a
-
-
-def _solve_trace_systems(a) -> np.ndarray:
-    """The ``(m, 9)`` solutions of the steady-state systems of the
-    column-major generators ``a``: row 0 of each is replaced by the trace
-    row and the system solved in place."""
-    a[:, 0, :] = _TRACE_ROW
-    x = np.zeros(a.shape[:-1], dtype=complex)
-    x[:, 0] = 1.0
-    try:
-        numerics.solve_in_place(a, x)
-    except SingularMatrix as exc:
-        raise DegenerateSteadyState(f"singular steady-state solve: {exc}") from exc
-    return x
-
-
 def _residual(lv, x) -> np.ndarray:
     """||L vec(rho)||_inf of each member, flattened."""
     return np.max(np.abs((lv @ x[..., None])[..., 0]), axis=-1).reshape(-1)
@@ -312,52 +291,38 @@ def steady_state(lv) -> np.ndarray:
     lv = numerics.as_complex_matrix(lv, stack=True)
     if lv.shape[-2:] != (DIM * DIM, DIM * DIM):
         raise DimensionMismatch(f"expected 9x9 Liouvillian, got {lv.shape}")
-    stack = lv.reshape(-1, DIM * DIM, DIM * DIM)
-    x = _solve_trace_systems(_column_major(stack, len(stack))).reshape(lv.shape[:-1])
+    a = lv.copy()
+    a[..., 0, :] = _TRACE_ROW
+    try:
+        x = numerics.solve_linear(a, _UNIT_TRACE)
+    except SingularMatrix as exc:
+        raise DegenerateSteadyState(f"singular steady-state solve: {exc}") from exc
     return _gated_states(x, _residual(lv, x))
 
 
-#: Relative margin of the residual certificate: a member's cheap residual
-#: clears the gate when it is below ``STEADY_STATE_RESIDUAL`` by this
-#: fraction of its term size max_i sum_j |L_ij| |x_j|.  Two evaluation
-#: orders of a 9-term complex dot product (L x)_i differ by at most ~40 u
-#: (u = 2**-53) of that size (Higham, Accuracy and Stability of Numerical
-#: Algorithms, sec. 3.1 and 3.6); the margin is ~200 times that.
-_RESIDUAL_MARGIN = 1e-12
-
-
 def steady_state_block(h, diagonals, dec: Decoherence) -> np.ndarray:
-    """Steady states of ``build_liouvillian_block(h, diagonals, dec)``,
-    each bit for bit ``steady_state`` of its member, without building
-    that stack: an ``(m, 3, 3)`` array.
+    """Steady states of the generators of ``h`` with its diagonal replaced
+    by each row of the real ``(m, 3)`` array ``diagonals``, each bit for
+    bit ``steady_state`` of its ``build_liouvillian``: an ``(m, 3, 3)``
+    array.
 
     The trace-row systems are written straight from the generator
     template and each member's 9 diagonal entries into one column-major
     buffer, which :func:`numerics.solve_in_place` factors and solves
-    where it lies.  The residual comes from the template's off-diagonal
-    part plus the diagonal; a member whose residual clears the gate by
-    ``_RESIDUAL_MARGIN`` of the size of its terms passes, and every other
-    member (near the bound, failing or not finite) is rechecked against
-    its materialized generator as ``steady_state`` checks it.  So every
-    gate outcome and message is that of ``steady_state`` on the stack.
+    where it lies.  That buffer is freed before the generator stack is
+    built for the residuals, so a block holds one stack at a time.
     """
-    diagonals = np.asarray(diagonals, dtype=float)
     template, diag = _template_and_diagonals(h, diagonals, dec)
-    a = _column_major(template, len(diag))
-    i = np.arange(DIM * DIM)
-    a[:, i, i] = diag
-    x = _solve_trace_systems(a)
-    del a  # the factors: free before the residuals and the states
-    off = template.copy()
-    np.fill_diagonal(off, 0.0)
-    with np.errstate(all="ignore"):
-        residual = np.max(np.abs(x @ off.T + diag * x), axis=-1)
-        size = np.max(np.abs(x) @ np.abs(off).T + np.abs(diag) * np.abs(x), axis=-1)
-    unsure = ~(residual <= STEADY_STATE_RESIDUAL - _RESIDUAL_MARGIN * size)
-    if np.any(unsure):
-        residual[unsure] = _residual(build_liouvillian_block(h, diagonals[unsure], dec),
-                                     x[unsure])
-    return _gated_states(x, residual)
+    # the stack of L^T, viewed transposed: column-major members of L
+    a = _generators(template.T, diag).transpose(0, 2, 1)
+    a[:, 0, :] = _TRACE_ROW
+    x = np.repeat(_UNIT_TRACE[None], len(a), axis=0)
+    try:
+        numerics.solve_in_place(a, x)
+    except SingularMatrix as exc:
+        raise DegenerateSteadyState(f"singular steady-state solve: {exc}") from exc
+    del a
+    return _gated_states(x, _residual(_generators(template, diag), x))
 
 
 def propagate(lv, rho0, times) -> np.ndarray:

@@ -51,14 +51,15 @@ KK_ENDPOINT_FRACTION = 0.05
 #: Probe detunings solved together as one stack in a sweep.  The block
 #: bounds the one (block, 9, 9) complex buffer a block is solved in (1.3 MB
 #: at 1024), which with |.| of it for the pivot gate is a sweep's traced
-#: peak, ~1.8-2.0 buffers.  Re-measured in the warm benchmark op mix (three
-#: interleaved rounds of 8 passes, op times scaled by the host-speed
-#: kernel, one BLAS thread, 2-vCPU host), blocks of 512 / 1024 / 2048 /
-#: 4001 points took 46.1 / 43.1 / 41.9 / 42.8 ms per 4001-point KK op and
-#: 34.3 / 32.3 / 32.0 / 32.3 ms per 4 x 801-point phase sweep, with 345 /
-#: 377 / 364 / 377 and 6 / 174 / 13 / 13 fresh page faults per op (means,
-#: ``ru_minflt``).  Above 1024 the time moves by less than 3% while the
-#: buffer grows with the block.
+#: peak, ~1.8-2.0 buffers; the generator stack for the residuals is built
+#: after the buffer is freed.  Re-measured in the warm benchmark op mix
+#: (three interleaved rounds of 8 passes, op times scaled by the
+#: host-speed kernel, one BLAS thread, 2-vCPU host), blocks of 512 / 1024
+#: / 2048 / 4001 points took 43.2 / 40.7 / 39.9 / 39.8 ms per 4001-point
+#: KK op and 33.3 / 31.3 / 30.0 / 31.9 ms per 4 x 801-point phase sweep,
+#: with 385 / 371 / 394 / 463 and 32 / 129 / 26 / 26 fresh page faults per
+#: op (means, ``ru_minflt``).  Above 1024 the time moves by at most ~4%
+#: while the buffer grows with the block.
 SWEEP_BLOCK = 1024
 
 

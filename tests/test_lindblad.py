@@ -20,13 +20,13 @@ from delta_eita import (
     validate_density_matrix,
     vectorize,
 )
+from delta_eita import lindblad
 from delta_eita.lindblad import (
     DENSITY_EIGENVALUE_FLOOR,
     DENSITY_HERMITICITY_TOL,
     DENSITY_TRACE_TOL,
     EVOLVE_EIGENVALUE_FLOOR,
     EVOLVE_TRACE_TOL,
-    build_liouvillian_block,
     ground_state,
     level_projector,
     maximally_mixed,
@@ -143,6 +143,11 @@ class TestBuildLiouvillian:
             assert np.max(np.abs(drho - drho.conj().T)) <= 1e-12
 
 
+def liouvillian_block(h, diagonals, dec):
+    """The ``(m, 9, 9)`` generators a sweep block's residuals are taken on."""
+    return lindblad._generators(*lindblad._template_and_diagonals(h, diagonals, dec))
+
+
 class TestLiouvillianBlock:
     # zero magnitudes with these phases give h entries with -0 parts
     @pytest.mark.parametrize("drives", [
@@ -161,7 +166,7 @@ class TestLiouvillianBlock:
         diagonals[::4] = 0.0
         diagonals[1::4] = -0.0
         diagonals[2::4, 1:] *= -0.0
-        lv = build_liouvillian_block(h, diagonals, dec)
+        lv = liouvillian_block(h, diagonals, dec)
         for d, member in zip(diagonals, lv):
             np.fill_diagonal(h, d)
             assert member.tobytes() == build_liouvillian(h, dec).tobytes()
@@ -173,7 +178,7 @@ class TestLiouvillianBlock:
         with pytest.raises(InvariantViolation) as alone:
             build_liouvillian(h, stock_dec)
         with pytest.raises(InvariantViolation) as block:
-            build_liouvillian_block(h, diagonals, stock_dec)
+            liouvillian_block(h, diagonals, stock_dec)
         assert str(block.value) == str(alone.value)
 
 
