@@ -65,7 +65,8 @@ _SCHEMA = {
 #: Upper bounds on the two sizes a config sets, each allowing up to ~1 GB:
 #: a sweep holds ~0.75 KB per grid point at its peak (the table and its
 #: CSV text), and a fluxonium spectrum ~250 B per squared basis state (its
-#: cached operators and the two eigensolves).  A larger value is a
+#: cached flux-free Hamiltonian, the eigendecomposition at basis_size and the
+#: eigenvalues at basis_size + 20).  A larger value is a
 #: ValidationError before anything is allocated.
 MAX_GRID_POINTS = 1_000_000
 MAX_BASIS_SIZE = 2_000

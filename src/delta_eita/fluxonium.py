@@ -16,8 +16,10 @@ with k real and antisymmetric, so n^2 = k k^T.  Expanding the square,
 
 is real symmetric and affine in f.  The constant (el / 2) (2 pi f)^2 is
 dropped: it shifts every level alike, so it cancels in every level
-spacing and in the basis-convergence check.  h_osc and cos(phi) are
-formed and symmetrized once per (ec, el, basis) and cached; cos(phi)
+spacing and in the basis-convergence check.  h_osc - ej cos(phi), the
+O(n^3) part, is formed from symmetrized h_osc and cos(phi) once per
+(ec, el, ej, basis) and cached; phi and k are tridiagonal, cost O(n^2)
+and are formed per call, so a cache entry holds one matrix.  cos(phi)
 comes exactly from the eigendecomposition of the real-symmetric phi,
 which stays accurate at large zero-point spread.  Flux enters the
 inductive term; the alternative gauge (flux inside the cosine) gives
@@ -114,19 +116,23 @@ class DecayEstimate:
                 raise ValueError(f"{name} must be >= 0")
 
 
-@lru_cache(maxsize=16)
-def _oscillator_ops(ec: float, el: float, n: int):
-    """Real (phi, k, h_osc, cos_phi) in the n-state oscillator basis; the
-    charge is n = i k and h_osc = 4 ec k k^T + (el / 2) phi^2."""
+def _ladder_ops(ec: float, el: float, n: int):
+    """Real (phi, k) in the n-state oscillator basis; the charge is n = i k."""
     phi_zpf = (8.0 * ec / el) ** 0.25 / np.sqrt(2.0)
     n_zpf = (el / (8.0 * ec)) ** 0.25 / np.sqrt(2.0)
     ladder = np.diag(np.sqrt(np.arange(1.0, n)), 1)
-    phi = phi_zpf * (ladder + ladder.T)
-    k = n_zpf * (ladder.T - ladder)
+    return phi_zpf * (ladder + ladder.T), n_zpf * (ladder.T - ladder)
+
+
+@lru_cache(maxsize=16)
+def _flux_free_hamiltonian(ec: float, el: float, ej: float, n: int) -> np.ndarray:
+    """h_osc - ej cos(phi) in the n-state oscillator basis, the flux-free
+    part of the device Hamiltonian, from symmetrized h_osc and cos(phi)."""
+    phi, k = _ladder_ops(ec, el, n)
     h_osc = 4.0 * ec * (k @ k.T) + 0.5 * el * (phi @ phi)
     w, v = np.linalg.eigh(phi)
     cos_phi = (v * np.cos(w)) @ v.T
-    return phi, k, 0.5 * (h_osc + h_osc.T), 0.5 * (cos_phi + cos_phi.T)
+    return 0.5 * (h_osc + h_osc.T) - ej * (0.5 * (cos_phi + cos_phi.T))
 
 
 def build_device_hamiltonian(p: FluxoniumParams, flux: float,
@@ -134,26 +140,28 @@ def build_device_hamiltonian(p: FluxoniumParams, flux: float,
     """Real, exactly symmetric device Hamiltonian at one flux bias, less
     the level-independent constant (el / 2) (2 pi flux)^2."""
     n = p.basis_size if basis_size is None else int(basis_size)
-    phi, _, h_osc, cos_phi = _oscillator_ops(p.ec, p.el, n)
-    return h_osc - p.ej * cos_phi - (2.0 * np.pi * flux * p.el) * phi
+    phi = _ladder_ops(p.ec, p.el, n)[0]
+    return _flux_free_hamiltonian(p.ec, p.el, p.ej, n) - (2.0 * np.pi * flux * p.el) * phi
 
 
 def spectrum_at(p: FluxoniumParams, flux: float) -> FluxoniumSpectrum:
     """Diagonalize at one bias and extract levels and |<i|n|j>|.
 
-    The lowest three eigenvalues are re-computed with ``BASIS_STEP`` more
-    basis states; a shift above ``BASIS_CONVERGENCE_GHZ`` raises
-    BasisTooSmall.
+    Levels and couplings come from the eigendecomposition at
+    ``basis_size``.  The convergence check needs eigenvalues only: the
+    lowest three are re-computed, without eigenvectors, with
+    ``BASIS_STEP`` more basis states, and a shift above
+    ``BASIS_CONVERGENCE_GHZ`` raises BasisTooSmall.
     """
     w, v = numerics.hermitian_eig(build_device_hamiltonian(p, flux))
-    w_big, _ = numerics.hermitian_eig(
+    w_big = numerics.hermitian_eigvals(
         build_device_hamiltonian(p, flux, basis_size=p.basis_size + BASIS_STEP))
     shift = np.max(np.abs(w[:3] - w_big[:3]))
     if shift > BASIS_CONVERGENCE_GHZ:
         raise BasisTooSmall(
             f"lowest eigenvalues shift by {shift:.3e} GHz when the basis grows "
             f"from {p.basis_size} to {p.basis_size + BASIS_STEP}")
-    k = _oscillator_ops(p.ec, p.el, p.basis_size)[1]
+    k = _ladder_ops(p.ec, p.el, p.basis_size)[1]
     states = v[:, :3]
     t = np.abs(states.conj().T @ k @ states)
     return FluxoniumSpectrum(

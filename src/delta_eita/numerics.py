@@ -2,7 +2,7 @@
 
 Everything here is domain-free: a pivoted linear solve
 with explicit singularity detection, the matrix exponential, and
-Hermitian eigendecomposition.  Matrices are plain
+Hermitian eigendecomposition (or eigenvalues alone).  Matrices are plain
 ``numpy.ndarray`` of complex128; the validation helpers enforce the finite-
 entries contract at the boundary.  The solve and the exponential take a
 stack ``(m, n, n)`` as well, and each member's result is bit for bit the
@@ -25,7 +25,7 @@ from .errors import DimensionMismatch, NotHermitian, SingularMatrix
 #: Relative pivot size below which a pivoted LU is declared rank deficient.
 SINGULARITY_THRESHOLD = 1e-12
 
-#: Elementwise asymmetry tolerance for hermitian_eig input.
+#: Elementwise asymmetry tolerance for hermitian_eig and hermitian_eigvals input.
 HERMITICITY_TOLERANCE = 1e-12
 
 
@@ -231,6 +231,17 @@ def expm(a) -> np.ndarray:
     return out.reshape(a.shape)
 
 
+def _hermitian_matrix(a) -> np.ndarray:
+    """``a`` as a finite square complex matrix (:func:`as_complex_matrix`)
+    that deviates from its conjugate transpose by at most
+    ``HERMITICITY_TOLERANCE`` elementwise; NotHermitian otherwise."""
+    a = as_complex_matrix(a)
+    asym = np.max(np.abs(a - a.conj().T))
+    if asym > HERMITICITY_TOLERANCE:
+        raise NotHermitian(f"asymmetry {asym:.3e} exceeds {HERMITICITY_TOLERANCE:.0e}")
+    return a
+
+
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -239,9 +250,11 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     NotHermitian when ``a`` deviates from its conjugate transpose by more
     than ``HERMITICITY_TOLERANCE`` elementwise.
     """
-    a = as_complex_matrix(a)
-    asym = np.max(np.abs(a - a.conj().T))
-    if asym > HERMITICITY_TOLERANCE:
-        raise NotHermitian(f"asymmetry {asym:.3e} exceeds {HERMITICITY_TOLERANCE:.0e}")
-    w, v = np.linalg.eigh(a)
+    w, v = np.linalg.eigh(_hermitian_matrix(a))
     return w, v
+
+
+def hermitian_eigvals(a) -> np.ndarray:
+    """Real eigenvalues of a Hermitian matrix in ascending order, without
+    eigenvectors; the input gates are :func:`hermitian_eig`'s."""
+    return np.linalg.eigvalsh(_hermitian_matrix(a))

@@ -1,3 +1,9 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,11 +14,20 @@ from delta_eita import (
     build_device_hamiltonian,
     find_balanced_bias,
     flux_sweep,
+    numerics,
     scale_decay_rates,
     spectrum_at,
 )
-from delta_eita.fluxonium import BASIS_STEP, _bisect, _oscillator_ops, write_fluxonium_csv
+from delta_eita.fluxonium import (
+    BASIS_CONVERGENCE_GHZ,
+    BASIS_STEP,
+    _bisect,
+    _ladder_ops,
+    write_fluxonium_csv,
+)
 from delta_eita.verify import realspace_levels
+
+ROOT = Path(__file__).resolve().parent.parent
 
 DEVICE = FluxoniumParams(ej=9.0, ec=2.5, el=0.52)
 
@@ -119,12 +134,89 @@ class TestCachedTermsMatchDirectForm:
         want = observables(h, direct_hamiltonian(p, flux, big)[0], charge)
         got = observables(build_device_hamiltonian(p, flux),
                           build_device_hamiltonian(p, flux, basis_size=big),
-                          _oscillator_ops(p.ec, p.el, n)[1])
+                          _ladder_ops(p.ec, p.el, n)[1])
         for a, b in zip(got, want):
             assert np.max(np.abs(a - b)) <= 1e-12
         s = spectrum_at(p, flux)
         assert np.max(np.abs(np.array(s.levels[1:]) - want[0])) <= 1e-12
         assert np.max(np.abs(np.array([s.t12, s.t13, s.t23]) - want[1])) <= 1e-12
+
+
+def spectrum_from_two_decompositions(p, flux):
+    """``spectrum_at`` with its basis check taken from a second full
+    ``hermitian_eig``, eigenvectors and all: ``(levels, (t12, t13, t23))``,
+    or the BasisTooSmall message."""
+    n, big = p.basis_size, p.basis_size + BASIS_STEP
+    w, v = numerics.hermitian_eig(build_device_hamiltonian(p, flux))
+    w_big, _ = numerics.hermitian_eig(build_device_hamiltonian(p, flux, basis_size=big))
+    shift = np.max(np.abs(w[:3] - w_big[:3]))
+    if shift > BASIS_CONVERGENCE_GHZ:
+        return (f"lowest eigenvalues shift by {shift:.3e} GHz when the basis grows "
+                f"from {n} to {big}")
+    states = v[:, :3]
+    t = np.abs(states.conj().T @ _ladder_ops(p.ec, p.el, n)[1] @ states)
+    return (0.0, float(w[1] - w[0]), float(w[2] - w[0])), (t[0, 1], t[0, 2], t[1, 2])
+
+
+def bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+#: The stock device and three benchmark pool devices (d1, d8, d10).
+POOL_DEVICES = {"stock": DEVICE,
+                "pool-d1": FluxoniumParams(ej=8.735, ec=2.473, el=0.55),
+                "pool-d8": FluxoniumParams(ej=9.023, ec=2.392, el=0.48),
+                "pool-d10": FluxoniumParams(ej=9.462, ec=2.348, el=0.543)}
+
+
+class TestBasisCheckFromEigenvalues:
+    # the check at basis n + BASIS_STEP takes eigenvalues alone; every
+    # output is still that of two full eigendecompositions, bit for bit
+
+    @pytest.mark.parametrize("p", POOL_DEVICES.values(), ids=POOL_DEVICES.keys())
+    @pytest.mark.parametrize("flux", [0.0, 0.01, 0.25, 0.5])
+    def test_levels_and_couplings_bit_for_bit(self, p, flux):
+        levels, couplings = spectrum_from_two_decompositions(p, flux)
+        s = spectrum_at(p, flux)
+        assert bits(s.levels) == bits(levels)
+        assert bits([s.t12, s.t13, s.t23]) == bits(couplings)
+
+    @pytest.mark.parametrize("p", POOL_DEVICES.values(), ids=POOL_DEVICES.keys())
+    def test_basis_too_small_for_the_same_sizes(self, p):
+        # each device passes from the mid-40s or -50s on, not monotonically
+        raised = []
+        for n in range(30, 61):
+            small = dataclasses.replace(p, basis_size=n)
+            want = spectrum_from_two_decompositions(small, 0.0)
+            if isinstance(want, str):
+                with pytest.raises(BasisTooSmall) as err:
+                    spectrum_at(small, 0.0)
+                assert str(err.value) == want
+                raised.append(n)
+            else:
+                s = spectrum_at(small, 0.0)
+                assert bits(s.levels) == bits(want[0])
+        assert raised[0] == 30 and 45 < max(raised) < 60
+
+
+def test_stdout_does_not_depend_on_blas_threads(tmp_path):
+    # the CSV cells do, in their last bits: the basis-n ``eigh`` reduces
+    # H(f) to tridiagonal form with threaded BLAS (README "Conventions");
+    # on a single-CPU host every thread count runs one thread
+    argv = [sys.executable, "-m", "delta_eita.cli",
+            "--config", str(ROOT / "configs" / "fluxonium.ini"), "--out", "out"]
+    stdout = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+            **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                            threads))
+        proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        stdout[threads] = proc.stdout
+    assert stdout["1"].startswith("fluxonium n=50 ") and "balanced_bias=" in stdout["1"]
+    assert stdout["2"] == stdout["1"]
 
 
 class TestSpectrumSymmetries:

@@ -8,8 +8,9 @@ import pytest
 from scipy.linalg import expm as scipy_expm
 from scipy.linalg import lu_factor
 
-from delta_eita import DimensionMismatch, NotHermitian, SingularMatrix
-from delta_eita import build_liouvillian, numerics, rotating_hamiltonian, sweep_detuning
+from delta_eita import DimensionMismatch, FluxoniumParams, NotHermitian, SingularMatrix
+from delta_eita import build_device_hamiltonian, build_liouvillian, numerics
+from delta_eita import rotating_hamiltonian, sweep_detuning
 from delta_eita.config import parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -306,14 +307,23 @@ class TestExpm:
         assert_matches_scipy_expm(1000.0 * lv)
 
 
+#: The eigenvalues of both Hermitian eigensolvers: ``hermitian_eigvals`` is
+#: one more input to each ``hermitian_eig`` test below that needs no
+#: eigenvectors.
+EIGENVALUES = {"hermitian_eig": lambda a: numerics.hermitian_eig(a)[0],
+               "hermitian_eigvals": numerics.hermitian_eigvals}
+
+
 class TestHermitianEig:
     def test_diagonal_sorted(self):
-        w, _ = numerics.hermitian_eig(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(w, [1.0, 2.0, 3.0], atol=1e-14)
+        for eigenvalues in EIGENVALUES.values():
+            w = eigenvalues(np.diag([3.0, 1.0, 2.0]))
+            np.testing.assert_allclose(w, [1.0, 2.0, 3.0], atol=1e-14)
 
     def test_exchange_matrix(self):
-        w, _ = numerics.hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
+        for eigenvalues in EIGENVALUES.values():
+            w = eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
+            np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
 
     def test_reconstruction_50x50(self, rng):
         x = random_complex(rng, (50, 50))
@@ -325,13 +335,46 @@ class TestHermitianEig:
     def test_eigenvalue_sum_is_trace(self, rng):
         x = random_complex(rng, (12, 12))
         a = 0.5 * (x + x.conj().T)
-        w, _ = numerics.hermitian_eig(a)
-        assert abs(np.sum(w) - np.trace(a).real) <= 1e-9
+        for eigenvalues in EIGENVALUES.values():
+            assert abs(np.sum(eigenvalues(a)) - np.trace(a).real) <= 1e-9
 
     def test_not_hermitian(self):
-        with pytest.raises(NotHermitian):
-            numerics.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        for eigenvalues in EIGENVALUES.values():
+            with pytest.raises(NotHermitian):
+                eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_eigenvalues_alone_equal_those_of_the_decomposition(self, rng):
+        x = random_complex(rng, (50, 50))
+        device = build_device_hamiltonian(FluxoniumParams(ej=9.0, ec=2.5, el=0.52), 0.13,
+                                          basis_size=120)
+        below_tolerance = np.array([[0.0, 1.0 + 5e-13], [1.0, 0.0]])
+        for a in (0.5 * (x + x.conj().T), 0.5 * (x + x.T).real, device, below_tolerance,
+                  np.eye(7), np.diag([2.0, 2.0, -1.0, 2.0]), np.zeros((1, 1))):
+            w = numerics.hermitian_eig(a)[0]
+            w_only = numerics.hermitian_eigvals(a)
+            assert w_only.dtype == w.dtype and w_only.shape == w.shape
+            assert np.all(np.diff(w_only) >= 0.0)
+            assert np.max(np.abs(w_only - w)) <= 1e-12 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("a, error", [
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), NotHermitian),
+        (np.array([[1.0, 1j], [1j, 1.0]]), NotHermitian),
+        (np.array([[0.0, 1.0 + 2e-12], [1.0, 0.0]]), NotHermitian),
+        (np.ones((3, 2)), DimensionMismatch),
+        (np.ones((2, 2, 2)), DimensionMismatch),
+        (np.ones(3), DimensionMismatch),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), ValueError),
+        (np.array([[1.0, np.inf], [np.inf, 1.0]]), ValueError),
+        (np.array([[1.0, 0.0], [0.0, complex(0.0, -np.inf)]]), ValueError),
+    ], ids=["lower-zero", "anti-hermitian", "just-above-tolerance", "non-square", "stack",
+            "vector", "nan", "inf", "imaginary-inf"])
+    def test_both_raise_the_same_errors(self, a, error):
+        messages = {}
+        for name, eigenvalues in EIGENVALUES.items():
+            with pytest.raises(error) as err:
+                eigenvalues(a)
+            messages[name] = (type(err.value), str(err.value))
+        assert messages["hermitian_eigvals"] == messages["hermitian_eig"]
 
 
 def test_matrices_must_be_square():
