@@ -186,6 +186,9 @@ def parse_config(text: str, units: str | None = None, mode: str | None = None,
         # detuning grid shares the atom units; a fluxonium grid is flux
         grid_lo *= scale
         grid_hi *= scale
+    if mode in ("sweep", "phase-sweep", "fluxonium", "reflect") and \
+            not np.isfinite(grid_hi - grid_lo):
+        raise ValidationError(f"sweep span hi - lo is not finite for [{grid_lo}, {grid_hi}]")
 
     phases = get("sweep", "phases")
     if mode == "phase-sweep" and len(phases) == 0:

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import numerics
 from .csvout import write_csv
-from .errors import BasisTooSmall, NoSignChange, ValidationError
+from .errors import BasisTooSmall, InvariantViolation, NoSignChange, ValidationError
 
 #: Convergence demanded of the lowest three eigenvalues when the basis
 #: grows by BASIS_STEP states.
@@ -69,6 +69,11 @@ class FluxoniumParams:
             if not np.isfinite(v) or v <= 0.0:
                 raise ValidationError(f"{name} must be > 0, got {v}")
             object.__setattr__(self, name, v)
+        for name, scale in zip(("(8 ec / el)^(1/4)", "(el / 8 ec)^(1/4)"),
+                               _zero_point_scales(self.ec, self.el)):
+            if not 0.0 < scale < np.inf:
+                raise ValidationError(f"zero-point scale {name} must be finite and > 0, "
+                                      f"got {scale} for ec={self.ec}, el={self.el}")
         if not float(self.basis_size).is_integer():
             raise ValidationError(f"basis_size must be a whole number, got {self.basis_size}")
         if int(self.basis_size) < 30:
@@ -116,10 +121,16 @@ class DecayEstimate:
                 raise ValueError(f"{name} must be >= 0")
 
 
+def _zero_point_scales(ec: float, el: float) -> tuple[float, float]:
+    """(8 ec / el)^(1/4) and (el / 8 ec)^(1/4): sqrt(2) phi_zpf and sqrt(2) n_zpf."""
+    return (8.0 * ec / el) ** 0.25, (el / (8.0 * ec)) ** 0.25
+
+
 def _ladder_ops(ec: float, el: float, n: int):
     """Real (phi, k) in the n-state oscillator basis; the charge is n = i k."""
-    phi_zpf = (8.0 * ec / el) ** 0.25 / np.sqrt(2.0)
-    n_zpf = (el / (8.0 * ec)) ** 0.25 / np.sqrt(2.0)
+    phi_scale, n_scale = _zero_point_scales(ec, el)
+    phi_zpf = phi_scale / np.sqrt(2.0)
+    n_zpf = n_scale / np.sqrt(2.0)
     ladder = np.diag(np.sqrt(np.arange(1.0, n)), 1)
     return phi_zpf * (ladder + ladder.T), n_zpf * (ladder.T - ladder)
 
@@ -138,10 +149,20 @@ def _flux_free_hamiltonian(ec: float, el: float, ej: float, n: int) -> np.ndarra
 def build_device_hamiltonian(p: FluxoniumParams, flux: float,
                              basis_size: int | None = None) -> np.ndarray:
     """Real, exactly symmetric device Hamiltonian at one flux bias, less
-    the level-independent constant (el / 2) (2 pi flux)^2."""
+    the level-independent constant (el / 2) (2 pi flux)^2.
+
+    Raises InvariantViolation when an entry is not finite: the energies
+    or the flux are so large that a term overflows.
+    """
     n = p.basis_size if basis_size is None else int(basis_size)
-    phi = _ladder_ops(p.ec, p.el, n)[0]
-    return _flux_free_hamiltonian(p.ec, p.el, p.ej, n) - (2.0 * np.pi * flux * p.el) * phi
+    # a huge el * flux overflows the flux term: reported below, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = _ladder_ops(p.ec, p.el, n)[0]
+        h = _flux_free_hamiltonian(p.ec, p.el, p.ej, n) - (2.0 * np.pi * flux * p.el) * phi
+    if not np.all(np.isfinite(h)):
+        raise InvariantViolation(
+            "device Hamiltonian is not finite: energies or flux overflow")
+    return h
 
 
 def spectrum_at(p: FluxoniumParams, flux: float) -> FluxoniumSpectrum:
@@ -174,13 +195,14 @@ def spectrum_at(p: FluxoniumParams, flux: float) -> FluxoniumSpectrum:
 
 
 def flux_sweep(p: FluxoniumParams, grid) -> list[FluxoniumSpectrum]:
-    """spectrum_at over a monotone flux grid."""
+    """spectrum_at over a strictly monotone flux grid (ValidationError
+    otherwise)."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("flux grid must be a nonempty 1-d sequence")
+        raise ValidationError("flux grid must be a nonempty 1-d sequence")
     diffs = np.diff(grid)
     if diffs.size and not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
-        raise ValueError("flux grid must be monotone")
+        raise ValidationError("flux grid must be monotone")
     out = []
     for f in grid:
         try:

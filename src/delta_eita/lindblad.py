@@ -15,8 +15,12 @@ j*3 + i, so vec(A rho B) = (B^T kron A) vec(rho) and
 
 The equation is linear with a constant generator, so the steady state is
 the unit-trace kernel vector of L and time evolution is the exact
-propagator exp(L t): :func:`propagate` forms it for every sample time in
-one stacked :func:`numerics.expm` and validates the states in one batch.
+propagator exp(L t).  One function, :func:`_steady_states`, solves for
+steady states, in one in-place buffer for a block of generators that
+differ only on their diagonal: :func:`steady_state` is its one-member
+case and :func:`steady_state_block` a sweep block.  :func:`propagate`
+forms exp(L t) for every sample time in one stacked
+:func:`numerics.expm` and validates the states in one batch.
 """
 
 from __future__ import annotations
@@ -254,65 +258,20 @@ def validate_density_matrix(rho, trace_tol: float = DENSITY_TRACE_TOL,
     return sym
 
 
-def _residual(lv, x) -> np.ndarray:
-    """||L vec(rho)||_inf of each member, flattened."""
-    return np.max(np.abs((lv @ x[..., None])[..., 0]), axis=-1).reshape(-1)
+def _steady_states(template, diag) -> np.ndarray:
+    """Steady states of the generators ``_generators(template, diag)``, an
+    ``(m, 3, 3)`` array; each member's state is bit for bit its own alone.
 
-
-def _gated_states(x, residual) -> np.ndarray:
-    """The states of the solutions ``x`` ``(..., 9)`` once every residual
-    is within ``STEADY_STATE_RESIDUAL``, validated."""
-    # "not within bound", so that a solve that overflowed to NaN fails too
-    failed = ~(residual <= STEADY_STATE_RESIDUAL)
-    if np.any(failed):
-        k = int(np.argmax(failed))
-        raise DegenerateSteadyState(
-            f"steady-state residual {residual[k]:.3e} exceeds "
-            f"{STEADY_STATE_RESIDUAL:.0e} (nullity > 1?)")
-    # column stacking, as in devectorize, for every member at once
-    rho = np.swapaxes(x.reshape(x.shape[:-1] + (DIM, DIM)), -1, -2)
-    return validate_density_matrix(rho)
-
-
-def steady_state(lv) -> np.ndarray:
-    """Unique unit-trace state in the kernel of the Liouvillian.
-
-    One row of L is replaced by the trace constraint and the resulting
-    linear system solved; the replaced row (row 0) is always linearly
-    dependent on rows 4 and 8 through trace preservation, so no rank is
-    lost.  Raises DegenerateSteadyState when the solve is singular or the
-    residual against the original L exceeds ``STEADY_STATE_RESIDUAL``.
-
-    ``lv`` is one 9x9 Liouvillian or a stack ``(m, 9, 9)``, which gives
-    the ``(m, 3, 3)`` states, each bit for bit the state of its member
-    alone.  The checks run in the same order as for one matrix; each
-    raises with the message of its first failing member.
+    Row 0 of each generator, linearly dependent on rows 4 and 8 through
+    trace preservation, is replaced by the trace row, and the systems are
+    written into one column-major buffer that
+    :func:`numerics.solve_in_place` solves where it lies.  The buffer is
+    freed before the generator stack is built for the residuals
+    ||L vec(rho)||_inf, so one stack is alive at a time.  A singular
+    solve, then a residual above ``STEADY_STATE_RESIDUAL``, raises
+    DegenerateSteadyState with the message of the first failing member;
+    the states are then validated.
     """
-    lv = numerics.as_complex_matrix(lv, stack=True)
-    if lv.shape[-2:] != (DIM * DIM, DIM * DIM):
-        raise DimensionMismatch(f"expected 9x9 Liouvillian, got {lv.shape}")
-    a = lv.copy()
-    a[..., 0, :] = _TRACE_ROW
-    try:
-        x = numerics.solve_linear(a, _UNIT_TRACE)
-    except SingularMatrix as exc:
-        raise DegenerateSteadyState(f"singular steady-state solve: {exc}") from exc
-    return _gated_states(x, _residual(lv, x))
-
-
-def steady_state_block(h, diagonals, dec: Decoherence) -> np.ndarray:
-    """Steady states of the generators of ``h`` with its diagonal replaced
-    by each row of the real ``(m, 3)`` array ``diagonals``, each bit for
-    bit ``steady_state`` of its ``build_liouvillian``: an ``(m, 3, 3)``
-    array.
-
-    The trace-row systems are written straight from the generator
-    template and each member's 9 diagonal entries into one column-major
-    buffer, which :func:`numerics.solve_in_place` factors and solves
-    where it lies.  That buffer is freed before the generator stack is
-    built for the residuals, so a block holds one stack at a time.
-    """
-    template, diag = _template_and_diagonals(h, diagonals, dec)
     # the stack of L^T, viewed transposed: column-major members of L
     a = _generators(template.T, diag).transpose(0, 2, 1)
     a[:, 0, :] = _TRACE_ROW
@@ -322,7 +281,40 @@ def steady_state_block(h, diagonals, dec: Decoherence) -> np.ndarray:
     except SingularMatrix as exc:
         raise DegenerateSteadyState(f"singular steady-state solve: {exc}") from exc
     del a
-    return _gated_states(x, _residual(_generators(template, diag), x))
+    residual = np.max(np.abs((_generators(template, diag) @ x[..., None])[..., 0]), axis=-1)
+    # "not within bound", so that a solve that overflowed to NaN fails too
+    failed = ~(residual <= STEADY_STATE_RESIDUAL)
+    if np.any(failed):
+        k = int(np.argmax(failed))
+        raise DegenerateSteadyState(
+            f"steady-state residual {residual[k]:.3e} exceeds "
+            f"{STEADY_STATE_RESIDUAL:.0e} (nullity > 1?)")
+    # column stacking, as in devectorize, for every member at once
+    return validate_density_matrix(np.swapaxes(x.reshape(-1, DIM, DIM), -1, -2))
+
+
+def steady_state(lv) -> np.ndarray:
+    """Unique unit-trace state in the kernel of the 9x9 Liouvillian ``lv``.
+
+    The one-member case of :func:`_steady_states`: ``lv`` is the template
+    and its own diagonal the member's, which writes ``lv`` back bit for
+    bit.  Raises DimensionMismatch unless ``lv`` is one 9x9 matrix, and
+    DegenerateSteadyState when the solve is singular or the residual
+    against L exceeds ``STEADY_STATE_RESIDUAL``.
+    """
+    lv = numerics.as_complex_matrix(lv)
+    if lv.shape != (DIM * DIM, DIM * DIM):
+        raise DimensionMismatch(f"expected 9x9 Liouvillian, got {lv.shape}")
+    return _steady_states(lv, lv.diagonal()[None])[0]
+
+
+def steady_state_block(h, diagonals, dec: Decoherence) -> np.ndarray:
+    """Steady states of the generators of ``h`` with its diagonal replaced
+    by each row of the real ``(m, 3)`` array ``diagonals``, each bit for
+    bit ``steady_state`` of its ``build_liouvillian``: an ``(m, 3, 3)``
+    array, from one :func:`_steady_states` buffer.
+    """
+    return _steady_states(*_template_and_diagonals(h, diagonals, dec))
 
 
 def propagate(lv, rho0, times) -> np.ndarray:

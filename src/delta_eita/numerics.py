@@ -1,12 +1,13 @@
 """Dense complex linear-algebra kernels used by the physics modules.
 
-Everything here is domain-free: a pivoted linear solve
+Everything here is domain-free: a pivoted linear solve in place
 with explicit singularity detection, the matrix exponential, and
 Hermitian eigendecomposition (or eigenvalues alone).  Matrices are plain
 ``numpy.ndarray`` of complex128; the validation helpers enforce the finite-
-entries contract at the boundary.  The solve and the exponential take a
-stack ``(m, n, n)`` as well, and each member's result is bit for bit the
-one it gets alone.  The exponential is numpy alone; the solve (and the
+entries contract at the boundary.  The solve takes a stack ``(m, n, n)``
+of column-major members, which its caller lays out, and the exponential
+a matrix or a stack; each member's result is bit for bit the one it gets
+alone.  The exponential is numpy alone; the solve (and the
 tridiagonal eigensolve of ``verify``'s fluxonium oracle) loads scipy's
 LAPACK wrappers from their file but never imports scipy.
 """
@@ -82,28 +83,6 @@ def _lapack():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def solve_linear(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` by pivoted LU, for one matrix or a stack.
-
-    ``a`` is ``(n, n)`` or a stack ``(m, n, n)``; the length-n right-hand
-    side ``b`` is shared by every member, and ``x`` has shape
-    ``a.shape[:-1]``.  The solve is :func:`solve_in_place` on a
-    column-major copy of ``a``, so every member's solution is bit for bit
-    the one it gets alone, and a member failing the relative-pivot gate
-    raises SingularMatrix as described there.
-    """
-    a = as_complex_matrix(a, stack=True)
-    b = as_complex_vector(b)
-    if b.shape[0] != a.shape[-1]:
-        raise DimensionMismatch(
-            f"rhs length {b.shape[0]} does not match matrix size {a.shape[-1]}")
-    stack = a.reshape((-1,) + a.shape[-2:])
-    lu = np.swapaxes(np.swapaxes(stack, -1, -2).copy(), -1, -2)
-    x = np.repeat(b[None], len(lu), axis=0)
-    solve_in_place(lu, x)
-    return x.reshape(a.shape[:-1])
 
 
 def solve_in_place(a: np.ndarray, x: np.ndarray) -> None:

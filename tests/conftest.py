@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from delta_eita import Decoherence, Drive, DriveSet
+from delta_eita import Decoherence, Drive, DriveSet, numerics
 
 
 @pytest.fixture
@@ -19,3 +19,22 @@ def stock_dec():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def _solve(a, b):
+    """``numerics.solve_in_place`` on column-major copies of ``a``, one
+    matrix or a stack ``(m, n, n)``, with the length-n rhs ``b`` shared by
+    every member; the solution has shape ``a.shape[:-1]``."""
+    a = np.asarray(a, dtype=complex)
+    stack = a.reshape((-1,) + a.shape[-2:])
+    lu = np.swapaxes(np.swapaxes(stack, -1, -2).copy(), -1, -2)
+    x = np.repeat(np.asarray(b, dtype=complex)[None], len(lu), axis=0)
+    numerics.solve_in_place(lu, x)
+    return x.reshape(a.shape[:-1])
+
+
+@pytest.fixture
+def solve():
+    """The pivoted LU solve of one matrix or a stack, through
+    ``numerics.solve_in_place``, the package's one LU entry point."""
+    return _solve

@@ -1,17 +1,26 @@
 import configparser
+import contextlib
 import dataclasses
+import io
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from delta_eita import ParseError, ValidationError
 from delta_eita.cli import main
 from delta_eita.config import (
+    INITIAL_STATES,
     MAX_BASIS_SIZE,
     MAX_GRID_POINTS,
     MODES,
+    UNITS,
     _SCHEMA,
+    _bool,
+    _floats,
     dump_config,
     parse_config,
 )
@@ -441,6 +450,14 @@ class TestExitCodes:
     def test_missing_file(self):
         assert main(["--config", "/nonexistent/run.ini"]) == 1
 
+    @pytest.mark.parametrize("argv", [[], ["--config", "run.ini", "--units", "foo"]],
+                             ids=["no-config", "bad-units"])
+    def test_malformed_command_line_exits_2_from_argparse(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: delta-eita")
+
     def test_config_that_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
         path.write_bytes(b"[run]\nmode = steady\xff\n")
@@ -565,6 +582,106 @@ class TestExitCodes:
     ], ids=["run-workers", "evolve-dt"])
     def test_removed_keys_are_parse_errors(self, tmp_path, text):
         assert main(["--config", self.write(tmp_path, text)]) == 1
+
+    @pytest.mark.parametrize("fluxonium, sweep, code, message", [
+        ("ej = 1.0\nec = 5e-324", "lo = -4\nhi = 3", 2,
+         "validation error: zero-point scale (el / 8 ec)^(1/4) must be finite and > 0, "
+         "got inf for ec=5e-324, el=0.52"),
+        ("ej = 1.0\nec = 0.001\nel = 1e300", "lo = -1e12\nhi = 3", 3,
+         "numerical error: at flux=-1e+12: device Hamiltonian is not finite: "
+         "energies or flux overflow"),
+    ], ids=["zero-point-scale", "flux-term"])
+    def test_overflowing_fluxonium_ends_in_a_typed_code(self, tmp_path, capsys, fluxonium,
+                                                         sweep, code, message):
+        # both raised numpy's RuntimeWarning, then an untyped ValueError
+        # (exit 1) from the eigensolver's finiteness check
+        text = f"[run]\nmode = fluxonium\n[fluxonium]\n{fluxonium}\nbasis_size = 30\n" \
+               f"[sweep]\n{sweep}\n"
+        assert main(["--config", self.write(tmp_path, text), "--out", str(tmp_path)]) == code
+        assert capsys.readouterr().err == message + "\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("[run]\nmode = fluxonium\n[fluxonium]\nbasis_size = 30\n"
+         "[sweep]\nlo = 0\nhi = 5e-324\npoints = 5\n", "flux grid must be monotone"),
+        (MINIMAL_EIT.replace("lo = -2.0\nhi = 2.0", "lo = -1.7e308\nhi = 1.7e308"),
+         "sweep span hi - lo is not finite for [-1.7e+308, 1.7e+308]"),
+        (MINIMAL_EIT.replace("units = gamma13", "units = MHz").replace("lo = -2.0", "lo = -1e308"),
+         "sweep span hi - lo is not finite for [-inf, 12.566370614359172]"),
+    ], ids=["repeated-flux", "span-overflow", "span-overflow-in-mhz"])
+    def test_degenerate_grid_is_validation_error(self, tmp_path, capsys, text, message):
+        # each raised numpy's RuntimeWarning or an untyped ValueError (exit 1)
+        assert main(["--config", self.write(tmp_path, text), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+#: The values a schema-drawn config takes for its numbers: zero, signs,
+#: the smallest subnormal, tiny, stock-sized, huge and near-overflow.
+EXTREMES = (0.0, 1.0, -1.0, 5e-324, 1e-300, 1e-12, 0.2, 3.0, 1e6, 1e100, 1e300, -1e300)
+
+
+#: Keys a drawn config always sets when their section is present: the
+#: mode, one rate, the sizes, and both fluxonium energies whose ratio sets
+#: the oscillator's zero-point scales.
+ALWAYS_SET = ("mode", "gamma13", "points", "basis_size", "ec", "el")
+
+
+@st.composite
+def schema_configs(draw):
+    """Config text drawn from ``config._SCHEMA``: the sections its mode
+    needs and each other section or key present or not, with a value of
+    its type (``ALWAYS_SET`` are always present).  Sizes are bounded
+    (``points`` <= 200, ``basis_size`` 30-60), ``lo`` <= 0 < ``hi``, and
+    rates, magnitudes, energies and ``t`` have a valid sign, so that most
+    configs reach the solvers (the ``parse_config`` outcome table covers
+    the invalid values).  ``verify`` is left out: it runs its own checks,
+    whatever the config says."""
+    mode = draw(st.sampled_from([m for m in MODES if m != "verify"]))
+    needed = {"run", "sweep"} | ({"fluxonium"} if mode == "fluxonium" else
+                                 {"atom", "drives.d12", "drives.d13", "drives.d23"})
+    nonnegative = st.sampled_from([v for v in EXTREMES if v >= 0.0]).map(repr)
+    positive = st.sampled_from([v for v in EXTREMES if v > 0.0]).map(repr)
+    special = {
+        "mode": st.just(mode),
+        "units": st.sampled_from(UNITS),
+        "magnitude": nonnegative,
+        **dict.fromkeys(["gamma12", "gamma13", "gamma23", "gphi2", "gphi3", "t"], nonnegative),
+        **dict.fromkeys(["ej", "ec", "el", "gamma_ref_mhz", "hi"], positive),
+        "lo": st.sampled_from([v for v in EXTREMES if v <= 0.0]).map(repr),
+        "points": st.integers(0, 200),
+        "initial": st.sampled_from(INITIAL_STATES),
+        "basis_size": st.integers(30, 60),
+    }
+    by_type = {float: st.sampled_from(EXTREMES).map(repr),
+               _bool: st.sampled_from(["true", "false"]),
+               _floats: st.lists(st.sampled_from(EXTREMES), max_size=4).map(
+                   lambda xs: ",".join(map(repr, xs)))}
+    lines = []
+    for section, keys in _SCHEMA.items():
+        if section == "output" or not (section in needed or draw(st.booleans())):
+            continue
+        lines.append(f"[{section}]")
+        for key, (convert, _) in keys.items():
+            if section == "drives.d12" and key == "detuning":
+                continue  # listed only to be refused
+            if key in ALWAYS_SET or draw(st.booleans()):
+                value = draw(special[key] if key in special else by_type[convert])
+                lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=schema_configs())
+def test_every_schema_config_ends_in_a_typed_exit_code(tmp_path_factory, text):
+    out = tmp_path_factory.mktemp("out")
+    path = out / "run.ini"
+    path.write_text(text + f"[output]\ndir = {out}\n", encoding="utf-8")
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("error")
+        code = main(["--config", str(path)])
+    # every value has its key's type, so no config is a parse error (1)
+    assert code in (0, 2, 3, 4), err.getvalue()
 
 
 class TestUnitsOverride:

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from delta_eita import (
     BasisTooSmall,
     FluxoniumParams,
     NoSignChange,
+    ValidationError,
     build_device_hamiltonian,
     find_balanced_bias,
     flux_sweep,
@@ -90,6 +92,18 @@ class TestDeviceHamiltonian:
     def test_basis_size_minimum(self):
         with pytest.raises(ValueError):
             FluxoniumParams(ej=9.0, ec=2.5, el=0.52, basis_size=20)
+
+    @pytest.mark.parametrize("ec, el, name, scale", [
+        (5e-324, 0.52, "(el / 8 ec)^(1/4)", "inf"),
+        (2.5, 5e-324, "(8 ec / el)^(1/4)", "inf"),
+        (1e300, 1e-12, "(8 ec / el)^(1/4)", "inf"),
+        (1e-300, 1e300, "(8 ec / el)^(1/4)", "0.0"),
+    ])
+    def test_zero_point_scales_must_be_finite_and_positive(self, ec, el, name, scale):
+        message = (f"zero-point scale {name} must be finite and > 0, "
+                   f"got {scale} for ec={ec}, el={el}")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            FluxoniumParams(ej=9.0, ec=ec, el=el)
 
 
 def direct_hamiltonian(p, flux, n):

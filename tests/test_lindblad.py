@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from delta_eita import (
     Decoherence,
     DegenerateSteadyState,
+    DimensionMismatch,
     Drive,
     DriveSet,
     InvariantViolation,
@@ -192,6 +193,12 @@ class TestSteadyState:
             lv = build_liouvillian(rotating_hamiltonian(drives.with_probe_detuning(delta13)), dec)
             with pytest.raises(DegenerateSteadyState, match="^steady-state residual nan exceeds"):
                 steady_state(lv)
+
+    def test_stack_of_liouvillians_is_refused(self, stock_drives, stock_dec):
+        # a stack goes through steady_state_block, not steady_state
+        lv = build_liouvillian(rotating_hamiltonian(stock_drives), stock_dec)
+        with pytest.raises(DimensionMismatch):
+            steady_state(np.stack([lv, lv]))
 
     def test_undriven_relaxes_to_ground(self):
         dec = Decoherence(gamma12=0.1, gamma13=1.0, gamma23=0.1)

@@ -8,9 +8,10 @@ import pytest
 from scipy.linalg import expm as scipy_expm
 from scipy.linalg import lu_factor
 
-from delta_eita import DimensionMismatch, FluxoniumParams, NotHermitian, SingularMatrix
+from delta_eita import DegenerateSteadyState, DimensionMismatch, FluxoniumParams
+from delta_eita import NotHermitian, SingularMatrix
 from delta_eita import build_device_hamiltonian, build_liouvillian, numerics
-from delta_eita import rotating_hamiltonian, sweep_detuning
+from delta_eita import rotating_hamiltonian, steady_state, sweep_detuning
 from delta_eita.config import parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -42,75 +43,89 @@ def stock_sweep_systems():
 
 
 class TestSolveLinear:
-    def test_identity(self, rng):
-        b = random_complex(rng, 3)
-        np.testing.assert_allclose(numerics.solve_linear(np.eye(3), b), b, atol=0)
+    """``numerics.solve_in_place`` through the ``solve`` fixture, and the
+    one-matrix input of ``steady_state``."""
 
-    def test_diagonal(self):
-        x = numerics.solve_linear(np.diag([2.0, 4.0]), [2.0, 8.0])
+    def test_identity(self, rng, solve):
+        b = random_complex(rng, 3)
+        np.testing.assert_allclose(solve(np.eye(3), b), b, atol=0)
+
+    def test_diagonal(self, solve):
+        x = solve(np.diag([2.0, 4.0]), [2.0, 8.0])
         np.testing.assert_allclose(x, [1.0, 2.0], atol=1e-15)
 
-    def test_random_system_residual(self, rng):
+    def test_random_system_residual(self, rng, solve):
         a = random_complex(rng, (9, 9)) + 3.0 * np.eye(9)
         b = random_complex(rng, 9)
-        x = numerics.solve_linear(a, b)
+        x = solve(a, b)
         residual = np.max(np.abs(a @ x - b))
         assert residual <= 1e-10 * (1.0 + np.max(np.abs(b)))
 
-    def test_singular_matrix(self):
+    def test_singular_matrix(self, solve):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularMatrix):
-            numerics.solve_linear(a, [1.0, 1.0])
+            solve(a, [1.0, 1.0])
+        # the trace row keeps steady_state's system from being the zero matrix
+        with pytest.raises(DegenerateSteadyState, match=(
+                r"^singular steady-state solve: relative pivot 0\.000e\+00 below 1e-12$")):
+            steady_state(np.zeros((9, 9)))
 
-    def test_zero_matrix(self):
-        with pytest.raises(SingularMatrix):
-            numerics.solve_linear(np.zeros((2, 2)), [1.0, 0.0])
+    def test_zero_matrix(self, solve):
+        with pytest.raises(SingularMatrix, match="^zero matrix$"):
+            solve(np.zeros((2, 2)), [1.0, 0.0])
 
-    def test_stack_matches_members(self, rng):
+    def test_stack_matches_members(self, rng, solve):
         stack = random_complex(rng, (3, 9, 9)) + 3.0 * np.eye(9)
         b = random_complex(rng, 9)
-        x = numerics.solve_linear(stack, b)
+        x = solve(stack, b)
         for member, xm in zip(stack, x):
-            np.testing.assert_array_equal(xm, numerics.solve_linear(member, b))
+            np.testing.assert_array_equal(xm, solve(member, b))
 
-    def test_stack_raises_for_first_singular_member(self, rng):
+    def test_stack_raises_for_first_singular_member(self, rng, solve):
         good = random_complex(rng, (9, 9)) + 3.0 * np.eye(9)
         singular = good.copy()
         singular[4] = 2.0 * singular[1]
         b = random_complex(rng, 9)
         with pytest.raises(SingularMatrix) as alone:
-            numerics.solve_linear(singular, b)
+            solve(singular, b)
         with pytest.raises(SingularMatrix) as stacked:
-            numerics.solve_linear(np.stack([good, singular, np.zeros((9, 9)), good]), b)
+            solve(np.stack([good, singular, np.zeros((9, 9)), good]), b)
         assert str(stacked.value) == str(alone.value)
         with pytest.raises(SingularMatrix, match="^zero matrix$"):
-            numerics.solve_linear(np.stack([good, np.zeros((9, 9)), singular]), b)
+            solve(np.stack([good, np.zeros((9, 9)), singular]), b)
 
-    def test_empty_stack(self):
-        x = numerics.solve_linear(np.zeros((0, 9, 9)), np.ones(9))
+    def test_empty_stack(self, solve):
+        x = solve(np.zeros((0, 9, 9)), np.ones(9))
         assert x.shape == (0, 9) and x.dtype == complex
 
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            numerics.solve_linear(np.eye(3), [1.0, 2.0])
-        with pytest.raises(DimensionMismatch):
-            numerics.solve_linear(np.ones((2, 3)), [1.0, 2.0])
+    def test_shape_mismatch(self, rng):
+        # solve_in_place takes only the layout it solves where it lies
+        a = np.swapaxes(random_complex(rng, (2, 3, 3)), -1, -2)
+        x = random_complex(rng, (2, 3))
+        for bad in [(a.copy(), x), (a, x[:, :2].copy()), (a, x.T.copy().T),
+                    (a.real.copy(order="F"), x), (a[0], x[0])]:
+            with pytest.raises(ValueError, match="^solve_in_place needs column-major"):
+                numerics.solve_in_place(*bad)
+        # steady_state takes one 9x9 Liouvillian
+        for lv in (np.eye(3), np.ones((9, 8)), np.ones(9)):
+            with pytest.raises(DimensionMismatch):
+                steady_state(lv)
 
-    def test_relative_pivot_gate(self):
+    def test_relative_pivot_gate(self, solve):
         b = np.ones(9)
         passes = np.diag([1.0] * 8 + [2e-12])
-        np.testing.assert_array_equal(numerics.solve_linear(passes, b), b / np.diag(passes))
+        np.testing.assert_array_equal(solve(passes, b), b / np.diag(passes))
         fails = np.diag([1.0] * 8 + [5e-13])
         message = "^relative pivot 5.000e-13 below 1e-12$"
         with pytest.raises(SingularMatrix, match=message):
-            numerics.solve_linear(fails, b)
+            solve(fails, b)
         with pytest.raises(SingularMatrix, match=message):
-            numerics.solve_linear(np.stack([passes, fails, np.zeros((9, 9))]), b)
+            solve(np.stack([passes, fails, np.zeros((9, 9))]), b)
 
 
 #: BLAS threads of a fresh interpreter: on more than one, OpenBLAS's
 #: ``zgetrs`` behind ``lu_solve`` takes a parallel triangular solve that
-#: rounds differently from ``solve_linear``
+#: rounds differently from ``solve_in_place``
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -145,46 +160,52 @@ class TestSolveLinearAgainstScipy:
     """scipy's ``lu_factor``/``lu_solve`` on one BLAS thread as a test-only
     oracle."""
 
-    def test_solutions_on_stock_sweep(self, stock_sweep_systems, tmp_path):
+    def test_solutions_on_stock_sweep(self, stock_sweep_systems, tmp_path, solve):
         # the CSVs and the mirror-tie stdout lines rely on equality, not closeness
         expected = lu_factor_solutions([s[:2] for s in stock_sweep_systems], tmp_path)
         for (stack, rhs, solved), x in zip(stock_sweep_systems, expected):
             np.testing.assert_array_equal(solved, x)
             assert np.all(rhs == rhs[0])
-            np.testing.assert_array_equal(numerics.solve_linear(stack, rhs[0]), x)
+            np.testing.assert_array_equal(solve(stack, rhs[0]), x)
 
-    def test_solutions_on_random_stacks(self, rng, tmp_path):
+    def test_solutions_on_random_stacks(self, rng, tmp_path, solve):
         systems = [(random_complex(rng, shape), random_complex(rng, shape[-1]))
                    for shape in [(500, 9, 9), (50, 4, 4), (9, 9)]]
         for (stack, b), x in zip(systems, lu_factor_solutions(systems, tmp_path)):
-            np.testing.assert_array_equal(numerics.solve_linear(stack, b), x)
+            np.testing.assert_array_equal(solve(stack, b), x)
 
     def test_solutions_do_not_depend_on_blas_threads(self):
         # on a single-CPU host every thread count runs one thread
         code = f"""
 import hashlib
 import numpy as np
-from delta_eita import numerics, sweep_detuning
+from delta_eita import build_liouvillian, numerics, rotating_hamiltonian, steady_state
+from delta_eita import sweep_detuning
 from delta_eita.config import parse_config
 cfg = parse_config(open({str(CONFIG_DIR / "eita.ini")!r}, encoding="utf-8").read())
 rng = np.random.default_rng(7)
-stack = rng.normal(size=(200, 9, 9)) + 1j * rng.normal(size=(200, 9, 9))
-digest = hashlib.sha256(numerics.solve_linear(stack, rng.normal(size=9)).tobytes())
+# the transposed view of a C-ordered stack: column-major members
+stack = np.swapaxes(rng.normal(size=(200, 9, 9)) + 1j * rng.normal(size=(200, 9, 9)), 1, 2)
+x = np.repeat(rng.normal(size=(1, 9)).astype(complex), 200, axis=0)
+numerics.solve_in_place(stack, x)
+digest = hashlib.sha256(x.tobytes())
 digest.update(sweep_detuning(cfg.drives, cfg.dec, cfg.grid()).rho31.tobytes())
+point = cfg.drives.with_probe_detuning(0.3)
+digest.update(steady_state(build_liouvillian(rotating_hamiltonian(point), cfg.dec)).tobytes())
 print(digest.hexdigest())
 """
         digests = {threads: run_python(code, **dict.fromkeys(ONE_BLAS_THREAD, threads))
                    for threads in ("1", "2", "4")}
         assert len(set(digests.values())) == 1, digests
 
-    def test_gate_reports_the_pivot_of_lu_factor(self, rng):
+    def test_gate_reports_the_pivot_of_lu_factor(self, rng, solve):
         stack = random_complex(rng, (20, 9, 9))
         stack[7, 5] = 2.0 * stack[7, 2] - stack[7, 6] + 3e-14 * random_complex(rng, 9)
         lu, _ = lu_factor(stack[7], check_finite=False)
         expected = np.min(np.abs(np.diag(lu))) / np.max(np.abs(stack[7]))
         assert expected < numerics.SINGULARITY_THRESHOLD
         with pytest.raises(SingularMatrix) as err:
-            numerics.solve_linear(stack, np.ones(9))
+            solve(stack, np.ones(9))
         assert str(err.value) == f"relative pivot {expected:.3e} below 1e-12"
 
     def test_sweep_solved_before_scipy_is_imported(self):
@@ -217,7 +238,7 @@ print(sum(len(a) for a, _, _ in solved))
 
     @pytest.mark.parametrize("first, second", [(1 + 1j, 2.0), (2.0, 1 + 1j)],
                              ids=["complex-first", "real-first"])
-    def test_exact_tie_picks_the_first_row(self, first, second):
+    def test_exact_tie_picks_the_first_row(self, first, second, solve):
         # |Re| + |Im| is 2 in both rows of column 0 (|.| is not); the first
         # row as pivot leaves exactly 2**-43 as the second pivot, the other
         # row would leave it 2**-43 times sqrt(2) or 1 / sqrt(2)
@@ -225,7 +246,7 @@ print(sum(len(a) for a, _, _ in solved))
         relative = 2.0**-43 / np.max(np.abs(a))
         with pytest.raises(SingularMatrix,
                            match=f"^relative pivot {relative:.3e} below 1e-12$"):
-            numerics.solve_linear(a, [1.0, 1.0])
+            solve(a, [1.0, 1.0])
 
 
 def taylor_expm_oracle(a, terms=60):
