@@ -7,8 +7,16 @@ error, 4 resolution/window error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread unless the caller set a count: the threaded Householder
+# reduction in the fluxonium eigensolves rounds differently, so the CSV
+# bits would depend on the host's cores.  OpenBLAS reads these variables
+# once, when numpy loads, so they are set before anything imports numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 
@@ -127,17 +135,16 @@ def run(cfg: RunConfig) -> int:
         return 0
 
     if cfg.mode == "fluxonium":
-        grid = cfg.grid()
-        spectra = flux_sweep(cfg.fluxonium, grid)
+        spectra = flux_sweep(cfg.fluxonium, cfg.grid())
         path = _out_path(cfg, "fluxonium")
         write_fluxonium_csv(spectra, path, cfg.fluxonium)
         msg = f"fluxonium n={len(spectra)} csv={path}"
         try:
-            bias = find_balanced_bias(cfg.fluxonium, grid[0], grid[-1])
-            msg += f" balanced_bias={bias:.5f}"
+            balanced = find_balanced_bias(cfg.fluxonium, spectra)
+            msg += f" balanced_bias={balanced.flux:.5f}"
             if cfg.gamma_ref_mhz:
                 t_ref = spectrum_at(cfg.fluxonium, 0.0).t12
-                est = scale_decay_rates(cfg.gamma_ref_mhz, t_ref, spectrum_at(cfg.fluxonium, bias))
+                est = scale_decay_rates(cfg.gamma_ref_mhz, t_ref, balanced)
                 msg += (f" decay_mhz=(g12={est.gamma12:.3g},"
                         f"g13={est.gamma13:.3g},g23={est.gamma23:.3g})")
         except NoSignChange:

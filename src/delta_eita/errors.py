@@ -46,7 +46,7 @@ class BasisTooSmall(DeltaEitaError):
 
 
 class NoSignChange(DeltaEitaError):
-    """A bracketing root search was given an invalid bracket."""
+    """No grid point or grid cell of a root search holds a root."""
 
 
 class ParseError(DeltaEitaError):

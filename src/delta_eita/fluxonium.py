@@ -47,6 +47,9 @@ from .errors import BasisTooSmall, InvariantViolation, NoSignChange, ValidationE
 BASIS_CONVERGENCE_GHZ = 1e-6
 BASIS_STEP = 20
 
+#: Width of flux bracket at which the balanced-bias refinement stops.
+BIAS_TOLERANCE = 1e-12
+
 #: Representative fluxonium device energies (GHz) from the published
 #: literature; the [fluxonium] defaults and the contingent checks use them.
 EXAMPLE_EJ = 9.0
@@ -213,47 +216,52 @@ def flux_sweep(p: FluxoniumParams, grid) -> list[FluxoniumSpectrum]:
     return out
 
 
-def _bisect(fn, lo: float, hi: float, tol: float) -> float:
-    """Root of a sign-changing scalar function by bisection, until the
-    bracket is no wider than ``tol`` or its ends are adjacent floats."""
-    if not (np.all(np.isfinite([lo, hi, tol])) and lo < hi and tol > 0.0):
-        raise ValueError(f"bisection needs finite lo < hi and tol > 0, "
-                         f"got [{lo}, {hi}] and tol={tol}")
-    flo = fn(lo)
-    fhi = fn(hi)
-    if flo == 0.0:
-        return float(lo)
-    if fhi == 0.0:
-        return float(hi)
-    if flo * fhi > 0.0:
-        raise NoSignChange(
-            f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}")
-    a, b = float(lo), float(hi)
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            b = mid
-        else:
-            a, flo = mid, fm
-    return 0.5 * (a + b)
+def find_balanced_bias(p: FluxoniumParams, spectra) -> FluxoniumSpectrum:
+    """The spectrum where t12 = t23, from a flux sweep's own spectra.
 
+    Takes the first root in grid order: a grid point where t12 - t23 is
+    exactly zero, returned as it is, or a grid cell where it changes
+    sign, refined by Illinois regula falsi (Dowell and Jarratt, BIT 11,
+    168 (1971)) until the bracket is no wider than ``BIAS_TOLERANCE`` or
+    its ends are adjacent floats.  The refinement returns its last
+    evaluation, an end of that bracket, so ``.flux`` is the bias (the
+    cell's first end, if the cell is already that narrow).
 
-def find_balanced_bias(p: FluxoniumParams, lo: float, hi: float) -> float:
-    """Flux where t12 = t23, located by bisection to |dflux| <= 1e-5.
-
-    Raises NoSignChange when t12 - t23 does not change sign on [lo, hi].
+    Raises NoSignChange when no grid point or cell has a root.
     """
-
-    def imbalance(flux: float) -> float:
-        s = spectrum_at(p, flux)
-        return s.t12 - s.t23
-
-    return _bisect(imbalance, lo, hi, 1e-5)
+    f = [s.t12 - s.t23 for s in spectra]
+    for k, fk in enumerate(f):
+        if fk == 0.0:
+            return spectra[k]
+        if k + 1 < len(f) and f[k + 1] != 0.0 and (fk < 0.0) != (f[k + 1] < 0.0):
+            break
+    else:
+        raise NoSignChange(f"no sign change on [{spectra[0].flux}, {spectra[-1].flux}]: "
+                           f"f(lo)={f[0]:.3e}, f(hi)={f[-1]:.3e}")
+    last = spectra[k]
+    a, fa, b, fb = last.flux, fk, spectra[k + 1].flux, f[k + 1]
+    kept = None  # the end the previous step kept; kept twice, its value is halved
+    while abs(b - a) > BIAS_TOLERANCE:
+        c = b - fb * (b - a) / (fb - fa)
+        if not min(a, b) < c < max(a, b):
+            c = 0.5 * (a + b)
+            if c in (a, b):
+                break
+        last = spectrum_at(p, c)
+        fc = last.t12 - last.t23
+        if fc == 0.0:
+            break
+        if (fc < 0.0) == (fb < 0.0):
+            b, fb = c, fc
+            if kept == "a":
+                fa *= 0.5
+            kept = "a"
+        else:
+            a, fa = c, fc
+            if kept == "b":
+                fb *= 0.5
+            kept = "b"
+    return last
 
 
 def scale_decay_rates(gamma_ref: float, t_ref: float,

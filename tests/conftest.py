@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from delta_eita import Decoherence, Drive, DriveSet, numerics
+from delta_eita import Decoherence, Drive, DriveSet, cli, fluxonium, numerics
 
 
 @pytest.fixture
@@ -38,3 +38,19 @@ def solve():
     """The pivoted LU solve of one matrix or a stack, through
     ``numerics.solve_in_place``, the package's one LU entry point."""
     return _solve
+
+
+@pytest.fixture
+def spectrum_at_calls(monkeypatch):
+    """``fluxonium.spectrum_at``, wrapped to count its calls in ``.calls``,
+    in place of the function in ``fluxonium`` and in ``cli``."""
+    spectrum = fluxonium.spectrum_at
+
+    def counted(p, flux):
+        counted.calls += 1
+        return spectrum(p, flux)
+
+    counted.calls = 0
+    monkeypatch.setattr(fluxonium, "spectrum_at", counted)
+    monkeypatch.setattr(cli, "spectrum_at", counted)
+    return counted

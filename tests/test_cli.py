@@ -2,6 +2,9 @@ import configparser
 import contextlib
 import dataclasses
 import io
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from delta_eita import ParseError, ValidationError
+from delta_eita import ParseError, ValidationError, flux_sweep
 from delta_eita.cli import main
 from delta_eita.config import (
     INITIAL_STATES,
@@ -24,6 +27,7 @@ from delta_eita.config import (
     dump_config,
     parse_config,
 )
+from delta_eita.fluxonium import write_fluxonium_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -367,15 +371,33 @@ class TestMainModes:
         assert "balanced_bias=0.07" in out
         assert (out_dir / "fluxonium.csv").exists()
 
-    def test_stock_fluxonium_summary(self, tmp_path, capsys):
-        # the full stock sweep and bisection: a moved bisection midpoint or
-        # coupling changes this line
+    def test_stock_fluxonium_summary(self, tmp_path, capsys, spectrum_at_calls):
+        # the full stock sweep and refinement: a moved root or coupling
+        # changes this line; the bias comes from the sweep's own spectra, so
+        # the run makes the sweep's 50 spectra, at most 10 to refine the
+        # root and 1 at zero flux for the decay rates (70 by bisection)
         out_dir = tmp_path / "out"
         assert main(["--config", str(CONFIG_DIR / "fluxonium.ini"),
                      "--out", str(out_dir)]) == 0
         assert capsys.readouterr().out == (
             f"fluxonium n=50 csv={out_dir / 'fluxonium.csv'} balanced_bias=0.07657 "
             "decay_mhz=(g12=2.64,g13=25.4,g23=2.64)\n")
+        assert spectrum_at_calls.calls <= 50 + 10 + 1
+        cfg = parse_config((CONFIG_DIR / "fluxonium.ini").read_text(encoding="utf-8"))
+        write_fluxonium_csv(flux_sweep(cfg.fluxonium, cfg.grid()), tmp_path / "sweep.csv",
+                            cfg.fluxonium)
+        assert (out_dir / "fluxonium.csv").read_bytes() == (tmp_path / "sweep.csv").read_bytes()
+
+    def test_first_of_two_balanced_biases(self, tmp_path, capsys):
+        # t12 = t23 near 0.053 and near 0.30: the ends of the range have the
+        # same sign, and the first root in grid order is printed
+        text = (CONFIG_DIR / "fluxonium.ini").read_text(encoding="utf-8")
+        text = text.replace("ej = 9.0\nec = 2.5\nel = 0.52", "ej = 6.0\nec = 1.0\nel = 0.8")
+        out_dir = tmp_path / "out"
+        assert main(["--config", self.write(tmp_path, text), "--out", str(out_dir)]) == 0
+        assert capsys.readouterr().out == (
+            f"fluxonium n=50 csv={out_dir / 'fluxonium.csv'} balanced_bias=0.05277 "
+            "decay_mhz=(g12=11,g13=0.0328,g23=11)\n")
 
     def test_stock_phase_scan_summary(self, tmp_path, capsys):
         # min_inversion at pi/2 and 3pi/2 and the window centre at pi/2 are
@@ -682,6 +704,33 @@ def test_every_schema_config_ends_in_a_typed_exit_code(tmp_path_factory, text):
         code = main(["--config", str(path)])
     # every value has its key's type, so no config is a parse error (1)
     assert code in (0, 2, 3, 4), err.getvalue()
+
+
+#: The BLAS thread variables the command line sets to 1 unless they are set.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("config", sorted(path.stem for path in CONFIG_DIR.glob("*.ini")))
+def test_one_blas_thread_by_default(tmp_path, config):
+    # a fresh process with the thread variables unset runs like one with
+    # them set to 1: on a host with more than one CPU, OpenBLAS would
+    # otherwise start a thread per CPU, and the fluxonium CSV cells differ
+    # in their last bits between one thread and two
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(CONFIG_DIR.parent / "src"), os.environ.get("PYTHONPATH")]))
+    runs = {}
+    for threads in ("unset", "1"):
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "delta_eita.cli", "--config", str(CONFIG_DIR / f"{config}.ini"),
+             "--out", str(out)], capture_output=True, text=True, timeout=300,
+            env=env if threads == "unset" else dict(env, **dict.fromkeys(THREAD_VARS, threads)))
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = (proc.stdout.replace(str(out), "<out>"),
+                         {path.name: path.read_bytes() for path in out.glob("*.csv")})
+    assert runs["unset"][1]
+    assert runs["unset"] == runs["1"]
 
 
 class TestUnitsOverride:

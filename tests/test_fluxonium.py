@@ -16,6 +16,7 @@ from delta_eita import (
     build_device_hamiltonian,
     find_balanced_bias,
     flux_sweep,
+    fluxonium,
     numerics,
     scale_decay_rates,
     spectrum_at,
@@ -23,7 +24,8 @@ from delta_eita import (
 from delta_eita.fluxonium import (
     BASIS_CONVERGENCE_GHZ,
     BASIS_STEP,
-    _bisect,
+    BIAS_TOLERANCE,
+    FluxoniumSpectrum,
     _ladder_ops,
     write_fluxonium_csv,
 )
@@ -214,9 +216,10 @@ class TestBasisCheckFromEigenvalues:
 
 
 def test_stdout_does_not_depend_on_blas_threads(tmp_path):
-    # the CSV cells do, in their last bits: the basis-n ``eigh`` reduces
-    # H(f) to tridiagonal form with threaded BLAS (README "Conventions");
-    # on a single-CPU host every thread count runs one thread
+    # the CSV cells do, in their last bits, at a thread count the caller
+    # sets: the basis-n ``eigh`` reduces H(f) to tridiagonal form with
+    # threaded BLAS (README "Conventions"); on a single-CPU host every
+    # thread count runs one thread
     argv = [sys.executable, "-m", "delta_eita.cli",
             "--config", str(ROOT / "configs" / "fluxonium.ini"), "--out", "out"]
     stdout = {}
@@ -282,54 +285,120 @@ class TestFluxSweep:
         assert float(first[1]) == spectra[0].w10
 
 
-def capped(fn, limit=1000):
-    """``fn`` that counts its calls and fails beyond ``limit``, so that a
-    bisection that never ends fails instead of hanging."""
+#: The stock flux grid of ``configs/fluxonium.ini``.
+STOCK_GRID = np.linspace(0.01, 0.5, 50)
 
-    def wrapper(x):
-        wrapper.calls += 1
-        if wrapper.calls > limit:
-            raise AssertionError(f"more than {limit} calls")
-        return fn(x)
 
-    wrapper.calls = 0
-    return wrapper
+def synthetic(imbalance):
+    """A ``spectrum_at`` stand-in whose t12 - t23 is ``imbalance(flux)``."""
+
+    def spectrum(p, flux):
+        spectrum.calls += 1
+        if spectrum.calls > 1000:
+            raise AssertionError("more than 1000 calls")
+        f = imbalance(flux)
+        return FluxoniumSpectrum(flux=float(flux), levels=(0.0, 1.0, 2.0),
+                                 t12=max(f, 0.0), t13=1.0, t23=max(-f, 0.0))
+
+    spectrum.calls = 0
+    return spectrum
+
+
+def tight_root(p, lo, hi):
+    """Root of t12 - t23 on a sign-changing [lo, hi] by plain bisection to
+    a 1e-13 bracket: an oracle independent of the refinement."""
+
+    def imbalance(flux):
+        s = spectrum_at(p, flux)
+        return s.t12 - s.t23
+
+    f_lo = imbalance(lo)
+    assert (f_lo < 0.0) != (imbalance(hi) < 0.0)
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if (imbalance(mid) < 0.0) == (f_lo < 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def sign_change_cells(spectra):
+    f = [s.t12 - s.t23 for s in spectra]
+    return [k for k in range(len(f) - 1) if (f[k] < 0.0) != (f[k + 1] < 0.0)]
 
 
 class TestBalancedBias:
-    def test_synthetic_root_at_quarter(self):
+    def test_synthetic_root_at_quarter(self, monkeypatch):
         # engineered imbalance antisymmetric about 0.25
-        root = _bisect(lambda f: np.sin(2.0 * np.pi * (f - 0.25)), 0.0, 0.45, 1e-7)
-        assert root == pytest.approx(0.25, abs=1e-6)
+        spectrum = synthetic(lambda f: np.sin(2.0 * np.pi * (f - 0.25)))
+        ends = [spectrum(DEVICE, 0.0), spectrum(DEVICE, 0.45)]
+        monkeypatch.setattr(fluxonium, "spectrum_at", spectrum)
+        root = find_balanced_bias(DEVICE, ends)
+        assert abs(root.flux - 0.25) <= BIAS_TOLERANCE
+        assert spectrum.calls - 2 <= 10
 
-    @pytest.mark.parametrize("lo, hi, tol", [
-        (1.0, 0.0, 1e-5), (0.0, 0.0, 1e-5), (np.nan, 1.0, 1e-5), (0.0, np.inf, 1e-5),
-        (0.0, 1.0, 0.0), (0.0, 1.0, -1e-5), (0.0, 1.0, np.nan), (0.0, 1.0, np.inf),
-    ])
-    def test_bisect_rejects_bad_bracket_or_tolerance(self, lo, hi, tol):
-        with pytest.raises(ValueError):
-            _bisect(capped(lambda f: f - 0.3), lo, hi, tol)
+    def test_refinement_stops_at_adjacent_floats(self, monkeypatch):
+        # at 3e4 the float spacing, 3.6e-12, exceeds the 1e-12 bracket
+        # width, so only adjacent ends stop the step imbalance
+        step = 30000.3
+        spectrum = synthetic(lambda f: -1.0 if f <= step else 1.0)
+        ends = [spectrum(DEVICE, 0.0), spectrum(DEVICE, 1e5)]
+        monkeypatch.setattr(fluxonium, "spectrum_at", spectrum)
+        root = find_balanced_bias(DEVICE, ends)
+        assert abs(root.flux - step) <= np.spacing(step) and np.spacing(step) > BIAS_TOLERANCE
+        assert spectrum.calls < 100
 
-    def test_bisect_stops_at_adjacent_floats(self):
-        # a tolerance below the float spacing at the root ends when the
-        # midpoint rounds to an end; this step is never 0, so no midpoint
-        # hits the root exactly
-        fn = capped(lambda f: -1.0 if f <= 0.3 else 1.0)
-        root = _bisect(fn, 0.0, 1.0, 1e-300)
-        assert abs(root - 0.3) <= np.spacing(0.3)
-        assert fn.calls < 100
+    def test_exact_zero_at_grid_point_is_returned_as_is(self, monkeypatch):
+        spectrum = synthetic(lambda f: 1.0 - f)
+        spectra = [spectrum(DEVICE, f) for f in (-1.0, 0.0, 1.0, 2.0)]
+        monkeypatch.setattr(fluxonium, "spectrum_at", None)  # no evaluation
+        assert find_balanced_bias(DEVICE, spectra) is spectra[2]
+        assert find_balanced_bias(DEVICE, spectra[:3]) is spectra[2]
+        assert find_balanced_bias(DEVICE, spectra[::-1]) is spectra[2]  # a decreasing grid
 
     def test_no_sign_change(self):
-        with pytest.raises(NoSignChange):
-            find_balanced_bias(DEVICE, 0.3, 0.45)
+        with pytest.raises(NoSignChange, match=r"^no sign change on \[0\.3, 0\.45\]: "
+                                               r"f\(lo\)=-?\d\.\d{3}e[-+]\d\d, "
+                                               r"f\(hi\)=-?\d\.\d{3}e[-+]\d\d$"):
+            find_balanced_bias(DEVICE, flux_sweep(DEVICE, (0.3, 0.45)))
 
     def test_device_crossing_near_expected_bias(self):
-        bias = find_balanced_bias(DEVICE, 0.01, 0.2)
-        assert 0.0 < bias < 0.2
-        s = spectrum_at(DEVICE, bias)
-        assert s.t12 == pytest.approx(s.t23, abs=1e-3)
+        s = find_balanced_bias(DEVICE, flux_sweep(DEVICE, (0.01, 0.2)))
+        assert 0.0 < s.flux < 0.2
+        assert s == spectrum_at(DEVICE, s.flux)
+        assert s.t12 == pytest.approx(s.t23, abs=1e-12)
         # contingent on the literature device energies: close to 0.08
-        assert bias == pytest.approx(0.08, abs=0.02)
+        assert s.flux == pytest.approx(0.08, abs=0.02)
+
+    @pytest.mark.parametrize("energies, printed", [
+        ((9.0, 2.5, 0.52), "0.07657"),     # stock, bench pool d0
+        ((9.045, 2.545, 0.533), "0.07485"),  # pool d5: 0.07484 by the 1e-5 bisection
+        ((9.023, 2.392, 0.48), "0.08954"),   # pool d8: 0.08953 by the 1e-5 bisection
+    ])
+    def test_bias_is_the_correctly_rounded_root(self, energies, printed, spectrum_at_calls):
+        p = FluxoniumParams(*energies)
+        spectra = flux_sweep(p, STOCK_GRID)
+        [cell] = sign_change_cells(spectra)
+        spectrum_at_calls.calls = 0
+        s = find_balanced_bias(p, spectra)
+        assert spectrum_at_calls.calls <= 10
+        root = tight_root(p, STOCK_GRID[cell], STOCK_GRID[cell + 1])
+        assert abs(s.flux - root) <= BIAS_TOLERANCE
+        assert f"{s.flux:.5f}" == f"{root:.5f}" == printed
+
+    def test_two_roots_in_range(self, spectrum_at_calls):
+        # t12 = t23 twice: the ends of the range have the same sign
+        p = FluxoniumParams(ej=6.0, ec=1.0, el=0.8)
+        spectra = flux_sweep(p, STOCK_GRID)
+        cells = sign_change_cells(spectra)
+        assert [STOCK_GRID[k] for k in cells] == pytest.approx([0.05, 0.30], abs=0.01)
+        spectrum_at_calls.calls = 0
+        roots = [find_balanced_bias(p, spectra[k:k + 2]) for k in cells]
+        assert spectrum_at_calls.calls <= 10 * len(cells)
+        assert find_balanced_bias(p, spectra) == roots[0]
+        for k, s in zip(cells, roots):
+            assert abs(s.flux - tight_root(p, STOCK_GRID[k], STOCK_GRID[k + 1])) <= BIAS_TOLERANCE
 
 
 class TestDecayScaling:
@@ -353,9 +422,9 @@ class TestDecayScaling:
 
     def test_literature_rates_order_of_magnitude(self):
         # contingent: 11 MHz at zero flux maps to roughly 25 / 2.6 / 2.6 MHz
-        bias = find_balanced_bias(DEVICE, 0.01, 0.2)
+        balanced = find_balanced_bias(DEVICE, flux_sweep(DEVICE, STOCK_GRID))
         t_ref = spectrum_at(DEVICE, 0.0).t12
-        est = scale_decay_rates(11.0, t_ref, spectrum_at(DEVICE, bias))
+        est = scale_decay_rates(11.0, t_ref, balanced)
         assert est.gamma13 == pytest.approx(25.0, rel=1.0)
         assert est.gamma12 == pytest.approx(2.6, rel=1.0)
         assert est.gamma23 == pytest.approx(2.6, rel=1.0)

@@ -132,8 +132,8 @@ def abs_threshold_span_loop(x, y, center, lo, hi, thr):
 
 def lobe_fwhm_loop(x, y, sign):
     """Reference ``_lobe_fwhm``: walk out from the peak while sign*y stays
-    at or above half of it; the right edge is interpolated from its inside
-    sample."""
+    at or above half of it; each edge is interpolated from its outside
+    sample, as ``_run_end`` does, so the two round alike."""
     ys = sign * y
     i0 = int(np.argmax(ys))
     half = 0.5 * ys[i0]
@@ -146,8 +146,8 @@ def lobe_fwhm_loop(x, y, sign):
     right = float(x[-1])
     for k in range(i0, len(x) - 1):
         if ys[k + 1] < half:
-            frac = (ys[k] - half) / (ys[k] - ys[k + 1])
-            right = x[k] + frac * (x[k + 1] - x[k])
+            frac = (half - ys[k + 1]) / (ys[k] - ys[k + 1])
+            right = x[k + 1] - frac * (x[k + 1] - x[k])
             break
     pos = spectroscopy._refine(x, y, i0)[0] if 0 < i0 < len(x) - 1 else float(x[i0])
     return pos, max(0.0, right - left)
@@ -165,10 +165,8 @@ def find_peaks_with_loops(table):
 
 
 def assert_same_report(table):
-    """find_peaks agrees with the loop reference: extrema, classification
-    and any error exactly, window centre and width to 1e-15 relative (the
-    reference interpolates a lobe's right edge from its inside sample,
-    find_peaks from the outside one, which can round differently)."""
+    """find_peaks agrees exactly with the loop reference: extrema,
+    classification, window centre and width, and any error."""
     try:
         expected = find_peaks_with_loops(table)
     except DeltaEitaError as exc:
@@ -180,8 +178,8 @@ def assert_same_report(table):
     assert report.peak_positions == expected.peak_positions
     assert report.peak_heights == expected.peak_heights
     assert report.classification == expected.classification
-    assert report.window_center == pytest.approx(expected.window_center, rel=1e-15, abs=0.0)
-    assert report.fwhm == pytest.approx(expected.fwhm, rel=1e-15, abs=0.0)
+    assert report.window_center == expected.window_center
+    assert report.fwhm == expected.fwhm
     return report.classification
 
 
