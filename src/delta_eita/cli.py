@@ -14,9 +14,12 @@ from pathlib import Path
 # One BLAS thread unless the caller set a count: the threaded Householder
 # reduction in the fluxonium eigensolves rounds differently, so the CSV
 # bits would depend on the host's cores.  OpenBLAS reads these variables
-# once, when numpy loads, so they are set before anything imports numpy.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+# once, when numpy loads, so they are set before anything imports numpy;
+# once numpy is loaded they could no longer change this process's BLAS,
+# only that of every child it starts, so they are then left alone.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 import numpy as np
 

@@ -1,15 +1,17 @@
-"""Dense complex linear-algebra kernels used by the physics modules.
+"""Dense linear-algebra kernels used by the physics modules.
 
 Everything here is domain-free: a pivoted linear solve in place
-with explicit singularity detection, the matrix exponential, and
-Hermitian eigendecomposition (or eigenvalues alone).  Matrices are plain
-``numpy.ndarray`` of complex128; the validation helpers enforce the finite-
-entries contract at the boundary.  The solve takes a stack ``(m, n, n)``
-of column-major members, which its caller lays out, and the exponential
-a matrix or a stack; each member's result is bit for bit the one it gets
-alone.  The exponential is numpy alone; the solve (and the
-tridiagonal eigensolve of ``verify``'s fluxonium oracle) loads scipy's
-LAPACK wrappers from their file but never imports scipy.
+with explicit singularity detection, the matrix exponential, Hermitian
+eigendecomposition, and the lowest few eigenvalues alone of a real
+symmetric matrix.  Matrices are plain ``numpy.ndarray`` of complex128
+(real float64 for the lowest eigenvalues); the validation helpers enforce
+the finite-entries contract at the boundary.  The solve takes a stack
+``(m, n, n)`` of column-major members, which its caller lays out, and the
+exponential a matrix or a stack; each member's result is bit for bit the
+one it gets alone.  The exponential is numpy alone; the solve, the lowest
+eigenvalues (and the tridiagonal eigensolve of ``verify``'s fluxonium
+oracle) load scipy's LAPACK wrappers from their file but never import
+scipy.
 """
 
 from __future__ import annotations
@@ -26,8 +28,22 @@ from .errors import DimensionMismatch, NotHermitian, SingularMatrix
 #: Relative pivot size below which a pivoted LU is declared rank deficient.
 SINGULARITY_THRESHOLD = 1e-12
 
-#: Elementwise asymmetry tolerance for hermitian_eig and hermitian_eigvals input.
+#: Elementwise asymmetry tolerance for hermitian_eig and lowest_symmetric_eigvals input.
 HERMITICITY_TOLERANCE = 1e-12
+
+
+def _square_matrix(a, dtype, stack: bool = False) -> np.ndarray:
+    """``a`` as a square 2-d array of ``dtype``, or with ``stack`` a 3-d
+    stack of them; DimensionMismatch for any other ndim or a non-square
+    shape, ValueError for NaN/Inf entries."""
+    m = np.asarray(a, dtype=dtype)
+    if m.ndim != 2 and not (stack and m.ndim == 3):
+        raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
+    if m.shape[-2] != m.shape[-1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    return m
 
 
 def as_complex_matrix(a, stack: bool = False) -> np.ndarray:
@@ -37,14 +53,7 @@ def as_complex_matrix(a, stack: bool = False) -> np.ndarray:
     axis, is accepted as well.  Raises DimensionMismatch for any other
     ndim or a non-square shape, and ValueError for NaN/Inf entries.
     """
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 and not (stack and m.ndim == 3):
-        raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
-    if m.shape[-2] != m.shape[-1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("matrix entries must be finite")
-    return m
+    return _square_matrix(a, complex, stack)
 
 
 def as_complex_vector(b) -> np.ndarray:
@@ -73,9 +82,10 @@ def _lapack():
     """scipy's LAPACK wrappers, the extension ``scipy.linalg._flapack``.
 
     Its ``zgesv`` (``zgetrf`` then ``zgetrs``) serves :func:`solve_in_place`,
-    and its tridiagonal bisection ``dstebz`` serves
-    ``verify.realspace_levels``.  The extension is loaded from its file on
-    its own, so the scipy package (~0.3 s of imports) is never imported.
+    its ``dsyevr`` serves :func:`lowest_symmetric_eigvals`, and its
+    tridiagonal bisection ``dstebz`` serves ``verify.realspace_levels``.
+    The extension is loaded from its file on its own, so the scipy
+    package (~0.3 s of imports) is never imported.
     """
     linalg = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
                           "linalg")
@@ -210,11 +220,11 @@ def expm(a) -> np.ndarray:
     return out.reshape(a.shape)
 
 
-def _hermitian_matrix(a) -> np.ndarray:
-    """``a`` as a finite square complex matrix (:func:`as_complex_matrix`)
+def _hermitian_matrix(a, dtype=complex) -> np.ndarray:
+    """``a`` as a finite square matrix of ``dtype`` (:func:`_square_matrix`)
     that deviates from its conjugate transpose by at most
     ``HERMITICITY_TOLERANCE`` elementwise; NotHermitian otherwise."""
-    a = as_complex_matrix(a)
+    a = _square_matrix(a, dtype)
     asym = np.max(np.abs(a - a.conj().T))
     if asym > HERMITICITY_TOLERANCE:
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds {HERMITICITY_TOLERANCE:.0e}")
@@ -233,7 +243,27 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def hermitian_eigvals(a) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix in ascending order, without
-    eigenvectors; the input gates are :func:`hermitian_eig`'s."""
-    return np.linalg.eigvalsh(_hermitian_matrix(a))
+def lowest_symmetric_eigvals(a, count: int) -> np.ndarray:
+    """The lowest ``count`` eigenvalues of a real symmetric matrix, ascending.
+
+    One LAPACK ``dsyevr`` call (see :func:`_lapack`) computes just these,
+    in real arithmetic and without eigenvectors: ``dsytrd`` reduces ``a``
+    to tridiagonal form and ``dstebz`` bisection finds the eigenvalues.
+    The gates are :func:`hermitian_eig`'s on the real matrix, with its
+    messages: DimensionMismatch for a non-square or non-2-d ``a``,
+    ValueError for NaN/Inf entries, NotHermitian for an asymmetry above
+    ``HERMITICITY_TOLERANCE``.  A complex ``a`` raises TypeError rather
+    than losing its imaginary part, and ``count`` outside ``1 ... n``
+    ValueError.  Raises LinAlgError when ``dsyevr`` reports a failure or
+    finds other than ``count`` eigenvalues.
+    """
+    if np.iscomplexobj(a):
+        raise TypeError("expected a real matrix, got a complex one")
+    a = _hermitian_matrix(a, float)
+    if not 1 <= count <= a.shape[0]:
+        raise ValueError(f"count must be in 1 ... {a.shape[0]}, got {count}")
+    w, _, m, _, info = _lapack().dsyevr(a, compute_v=0, range="I", il=1, iu=count)
+    if info != 0 or m != count:
+        raise np.linalg.LinAlgError(
+            f"dsyevr failed: info={info}, {m} of {count} eigenvalues found")
+    return w[:count]

@@ -733,6 +733,24 @@ def test_one_blas_thread_by_default(tmp_path, config):
     assert runs["unset"] == runs["1"]
 
 
+def test_thread_variables_left_alone_once_numpy_is_loaded():
+    # too late to choose this process's BLAS threads, the defaults would
+    # only reach the children it starts
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(CONFIG_DIR.parent / "src"), os.environ.get("PYTHONPATH")]))
+    script = ("import os; {}import delta_eita.cli; "
+              "print([os.environ.get(v) for v in {!r}])")
+    printed = {}
+    for first in ("", "import numpy; "):
+        proc = subprocess.run([sys.executable, "-c", script.format(first, THREAD_VARS)],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        printed[first] = proc.stdout.strip()
+    assert printed[""] == str(["1"] * 3)
+    assert printed["import numpy; "] == str([None] * 3)
+
+
 class TestUnitsOverride:
     def test_units_flag_rescales(self, tmp_path, capsys):
         path = tmp_path / "run.ini"

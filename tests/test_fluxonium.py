@@ -186,8 +186,26 @@ POOL_DEVICES = {"stock": DEVICE,
 
 
 class TestBasisCheckFromEigenvalues:
-    # the check at basis n + BASIS_STEP takes eigenvalues alone; every
-    # output is still that of two full eigendecompositions, bit for bit
+    # the check at basis n + BASIS_STEP takes the lowest three eigenvalues
+    # alone, in real arithmetic; every output is still that of two full
+    # complex eigendecompositions, bit for bit
+
+    @pytest.mark.parametrize("p", POOL_DEVICES.values(), ids=POOL_DEVICES.keys())
+    @pytest.mark.parametrize("flux", [0.0, 0.01, 0.25, 0.5])
+    def test_check_eigenvalues_match_complex_eigvalsh(self, p, flux, monkeypatch):
+        calls = []
+        lowest = numerics.lowest_symmetric_eigvals
+
+        def spy(a, count):
+            calls.append((a, lowest(a, count)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(numerics, "lowest_symmetric_eigvals", spy)
+        spectrum_at(p, flux)
+        (h_big, w_big), = calls
+        assert h_big.shape == (p.basis_size + BASIS_STEP,) * 2
+        oracle = np.linalg.eigvalsh(h_big.astype(complex))[:3]
+        assert w_big.shape == (3,) and np.max(np.abs(w_big - oracle)) <= 1e-12
 
     @pytest.mark.parametrize("p", POOL_DEVICES.values(), ids=POOL_DEVICES.keys())
     @pytest.mark.parametrize("flux", [0.0, 0.01, 0.25, 0.5])
@@ -218,8 +236,9 @@ class TestBasisCheckFromEigenvalues:
 def test_stdout_does_not_depend_on_blas_threads(tmp_path):
     # the CSV cells do, in their last bits, at a thread count the caller
     # sets: the basis-n ``eigh`` reduces H(f) to tridiagonal form with
-    # threaded BLAS (README "Conventions"); on a single-CPU host every
-    # thread count runs one thread
+    # threaded BLAS (README "Conventions"); the basis check's ``dsyevr``
+    # does too, but it feeds only the 1e-6 GHz gate; on a single-CPU host
+    # every thread count runs one thread
     argv = [sys.executable, "-m", "delta_eita.cli",
             "--config", str(ROOT / "configs" / "fluxonium.ini"), "--out", "out"]
     stdout = {}

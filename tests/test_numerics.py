@@ -328,11 +328,12 @@ class TestExpm:
         assert_matches_scipy_expm(1000.0 * lv)
 
 
-#: The eigenvalues of both Hermitian eigensolvers: ``hermitian_eigvals`` is
-#: one more input to each ``hermitian_eig`` test below that needs no
-#: eigenvectors.
+#: The eigenvalues of both eigensolvers: ``lowest_symmetric_eigvals``, asked
+#: for all of them, is one more input to each ``hermitian_eig`` test below
+#: that needs no eigenvectors and no complex matrix.
 EIGENVALUES = {"hermitian_eig": lambda a: numerics.hermitian_eig(a)[0],
-               "hermitian_eigvals": numerics.hermitian_eigvals}
+               "lowest_symmetric_eigvals":
+                   lambda a: numerics.lowest_symmetric_eigvals(a, len(a))}
 
 
 class TestHermitianEig:
@@ -356,8 +357,9 @@ class TestHermitianEig:
     def test_eigenvalue_sum_is_trace(self, rng):
         x = random_complex(rng, (12, 12))
         a = 0.5 * (x + x.conj().T)
+        assert abs(np.sum(numerics.hermitian_eig(a)[0]) - np.trace(a).real) <= 1e-9
         for eigenvalues in EIGENVALUES.values():
-            assert abs(np.sum(eigenvalues(a)) - np.trace(a).real) <= 1e-9
+            assert abs(np.sum(eigenvalues(a.real)) - np.trace(a).real) <= 1e-9
 
     def test_not_hermitian(self):
         for eigenvalues in EIGENVALUES.values():
@@ -365,17 +367,19 @@ class TestHermitianEig:
                 eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_eigenvalues_alone_equal_those_of_the_decomposition(self, rng):
-        x = random_complex(rng, (50, 50))
         device = build_device_hamiltonian(FluxoniumParams(ej=9.0, ec=2.5, el=0.52), 0.13,
                                           basis_size=120)
         below_tolerance = np.array([[0.0, 1.0 + 5e-13], [1.0, 0.0]])
-        for a in (0.5 * (x + x.conj().T), 0.5 * (x + x.T).real, device, below_tolerance,
-                  np.eye(7), np.diag([2.0, 2.0, -1.0, 2.0]), np.zeros((1, 1))):
+        random_symmetric = [0.5 * (x + x.T) for x in
+                            (rng.normal(size=(n, n)) for n in (3, 12, 50, 120))]
+        for a in (*random_symmetric, device, below_tolerance, np.eye(7),
+                  np.diag([2.0, 2.0, -1.0, 2.0]), np.zeros((1, 1))):
             w = numerics.hermitian_eig(a)[0]
-            w_only = numerics.hermitian_eigvals(a)
-            assert w_only.dtype == w.dtype and w_only.shape == w.shape
-            assert np.all(np.diff(w_only) >= 0.0)
-            assert np.max(np.abs(w_only - w)) <= 1e-12 * np.max(np.abs(w))
+            for count in sorted({1, min(3, len(a)), len(a)}):
+                w_low = numerics.lowest_symmetric_eigvals(a, count)
+                assert w_low.dtype == w.dtype and w_low.shape == (count,)
+                assert np.all(np.diff(w_low) >= 0.0)
+                assert np.max(np.abs(w_low - w[:count])) <= 1e-12 * np.max(np.abs(w))
 
     @pytest.mark.parametrize("a, error", [
         (np.array([[0.0, 1.0], [0.0, 0.0]]), NotHermitian),
@@ -390,12 +394,45 @@ class TestHermitianEig:
     ], ids=["lower-zero", "anti-hermitian", "just-above-tolerance", "non-square", "stack",
             "vector", "nan", "inf", "imaginary-inf"])
     def test_both_raise_the_same_errors(self, a, error):
+        # a complex matrix is no real symmetric one: the real solver
+        # refuses it whatever hermitian_eig makes of it
         messages = {}
         for name, eigenvalues in EIGENVALUES.items():
-            with pytest.raises(error) as err:
+            refused = name != "hermitian_eig" and np.iscomplexobj(a)
+            with pytest.raises(TypeError if refused else error) as err:
                 eigenvalues(a)
             messages[name] = (type(err.value), str(err.value))
-        assert messages["hermitian_eigvals"] == messages["hermitian_eig"]
+        if not np.iscomplexobj(a):
+            assert messages["lowest_symmetric_eigvals"] == messages["hermitian_eig"]
+
+
+class TestLowestSymmetricEigvals:
+    @pytest.mark.parametrize("a", [
+        np.array([[1.0, 1j], [-1j, 1.0]]),
+        np.eye(3, dtype=complex),
+        [[2.0, 0.5j], [-0.5j, 2.0]],
+    ], ids=["hermitian", "real-valued-complex", "nested-list"])
+    def test_complex_input_is_refused(self, a):
+        # not silently truncated to its real part
+        with pytest.raises(TypeError, match="real matrix"):
+            numerics.lowest_symmetric_eigvals(a, 1)
+
+    @pytest.mark.parametrize("count", [0, -1, 4])
+    def test_count_out_of_range(self, count):
+        with pytest.raises(ValueError, match="count must be in 1 ... 3"):
+            numerics.lowest_symmetric_eigvals(np.eye(3), count)
+
+    @pytest.mark.parametrize("found, info", [(1, 0), (3, 2), (0, -4)])
+    def test_lapack_failure_is_a_linalg_error(self, monkeypatch, found, info):
+        class FailingLapack:
+            @staticmethod
+            def dsyevr(a, **kwargs):
+                return np.zeros(len(a)), None, found, None, info
+
+        monkeypatch.setattr(numerics, "_lapack", FailingLapack)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=f"info={info}, {found} of 3 eigenvalues"):
+            numerics.lowest_symmetric_eigvals(np.eye(3), 3)
 
 
 def test_matrices_must_be_square():
