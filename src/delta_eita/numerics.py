@@ -244,18 +244,14 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lowest_symmetric_eigvals(a, count: int) -> np.ndarray:
-    """The lowest ``count`` eigenvalues of a real symmetric matrix, ascending.
+    """The lowest ``count`` eigenvalues of a real symmetric matrix, ascending,
+    from one values-only LAPACK ``dsyevr`` call (see :func:`_lapack`):
+    ``dsytrd`` to tridiagonal form, then ``dstebz`` bisection for just these.
 
-    One LAPACK ``dsyevr`` call (see :func:`_lapack`) computes just these,
-    in real arithmetic and without eigenvectors: ``dsytrd`` reduces ``a``
-    to tridiagonal form and ``dstebz`` bisection finds the eigenvalues.
-    The gates are :func:`hermitian_eig`'s on the real matrix, with its
-    messages: DimensionMismatch for a non-square or non-2-d ``a``,
-    ValueError for NaN/Inf entries, NotHermitian for an asymmetry above
-    ``HERMITICITY_TOLERANCE``.  A complex ``a`` raises TypeError rather
-    than losing its imaginary part, and ``count`` outside ``1 ... n``
-    ValueError.  Raises LinAlgError when ``dsyevr`` reports a failure or
-    finds other than ``count`` eigenvalues.
+    The input gates, types and messages are :func:`hermitian_eig`'s, in real
+    arithmetic.  A complex ``a`` raises TypeError instead of losing its
+    imaginary part, and ``count`` outside ``1 ... n`` ValueError.  Raises
+    LinAlgError when ``dsyevr`` fails or finds other than ``count`` values.
     """
     if np.iscomplexobj(a):
         raise TypeError("expected a real matrix, got a complex one")

@@ -710,15 +710,21 @@ def test_every_schema_config_ends_in_a_typed_exit_code(tmp_path_factory, text):
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def env_without_thread_vars() -> dict:
+    """This process's environment less THREAD_VARS, with ``src`` importable."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(CONFIG_DIR.parent / "src"), os.environ.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.parametrize("config", sorted(path.stem for path in CONFIG_DIR.glob("*.ini")))
 def test_one_blas_thread_by_default(tmp_path, config):
     # a fresh process with the thread variables unset runs like one with
     # them set to 1: on a host with more than one CPU, OpenBLAS would
     # otherwise start a thread per CPU, and the fluxonium CSV cells differ
     # in their last bits between one thread and two
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(CONFIG_DIR.parent / "src"), os.environ.get("PYTHONPATH")]))
+    env = env_without_thread_vars()
     runs = {}
     for threads in ("unset", "1"):
         out = tmp_path / threads
@@ -736,9 +742,7 @@ def test_one_blas_thread_by_default(tmp_path, config):
 def test_thread_variables_left_alone_once_numpy_is_loaded():
     # too late to choose this process's BLAS threads, the defaults would
     # only reach the children it starts
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(CONFIG_DIR.parent / "src"), os.environ.get("PYTHONPATH")]))
+    env = env_without_thread_vars()
     script = ("import os; {}import delta_eita.cli; "
               "print([os.environ.get(v) for v in {!r}])")
     printed = {}
