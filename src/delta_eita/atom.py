@@ -126,6 +126,23 @@ class Decoherence:
         return 0.5 * (self.gamma13 + self.gamma23 + self.gphi3)
 
 
+def rotating_diagonal(drives: DriveSet, delta13) -> np.ndarray:
+    """Diagonal (0, -delta12, -delta13) of the rotating-frame Hamiltonian,
+    with delta12 = delta13 - delta23, at each probe detuning of the array
+    ``delta13``: shape ``delta13.shape + (3,)``, real.
+
+    The one place the diagonal is written: ``rotating_hamiltonian`` and
+    every sweep take it from here.  A delta12 that overflows is left
+    infinite, for the caller to report.
+    """
+    delta13 = np.asarray(delta13, dtype=float)
+    diag = np.zeros(delta13.shape + (3,))
+    with np.errstate(over="ignore"):
+        diag[..., 1] = -(delta13 - drives.d23.detuning)
+    diag[..., 2] = -delta13
+    return diag
+
+
 def rotating_hamiltonian(drives: DriveSet) -> np.ndarray:
     """Time-independent Hamiltonian in the trichromatic rotating frame.
 
@@ -135,8 +152,7 @@ def rotating_hamiltonian(drives: DriveSet) -> np.ndarray:
     Hermitian by construction; trace = -(delta12 + delta13).
     """
     h = np.zeros((3, 3), dtype=complex)
-    h[1, 1] = -drives.d12.detuning
-    h[2, 2] = -drives.d13.detuning
+    np.fill_diagonal(h, rotating_diagonal(drives, drives.d13.detuning))
     h[1, 0] = -0.5 * drives.d12.magnitude * np.exp(-1j * drives.d12.phase)
     h[2, 0] = -0.5 * drives.d13.magnitude * np.exp(-1j * drives.d13.phase)
     h[2, 1] = -0.5 * drives.d23.magnitude * np.exp(-1j * drives.d23.phase)

@@ -227,7 +227,8 @@ def find_balanced_bias(p: FluxoniumParams, spectra) -> FluxoniumSpectrum:
     evaluation, an end of that bracket, so ``.flux`` is the bias (the
     cell's first end, if the cell is already that narrow).
 
-    Raises NoSignChange when no grid point or cell has a root.
+    Raises NoSignChange when no grid point or cell has a root, or when
+    ``spectra`` is empty.
     """
     f = [s.t12 - s.t23 for s in spectra]
     for k, fk in enumerate(f):
@@ -236,6 +237,8 @@ def find_balanced_bias(p: FluxoniumParams, spectra) -> FluxoniumSpectrum:
         if k + 1 < len(f) and f[k + 1] != 0.0 and (fk < 0.0) != (f[k + 1] < 0.0):
             break
     else:
+        if not f:
+            raise NoSignChange("no sign change: no spectra to search")
         raise NoSignChange(f"no sign change on [{spectra[0].flux}, {spectra[-1].flux}]: "
                            f"f(lo)={f[0]:.3e}, f(hi)={f[-1]:.3e}")
     last = spectra[k]

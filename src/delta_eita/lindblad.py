@@ -16,7 +16,7 @@ j*3 + i, so vec(A rho B) = (B^T kron A) vec(rho) and
 The equation is linear with a constant generator, so the steady state is
 the unit-trace kernel vector of L and time evolution is the exact
 propagator exp(L t).  One function, :func:`_steady_states`, solves for
-steady states, in one in-place buffer for a block of generators that
+steady states, in one generator array for a block of generators that
 differ only on their diagonal: :func:`steady_state` is its one-member
 case and :func:`steady_state_block` a sweep block.  :func:`propagate`
 forms exp(L t) for every sample time in one stacked
@@ -146,8 +146,9 @@ def build_liouvillian(h, dec: Decoherence) -> np.ndarray:
     return lv
 
 
+_DIAG = np.arange(DIM * DIM)
 #: Diagonal position 3a + b of L holds -i (h_bb - h_aa), the rate of rho[b, a].
-_DIAG_A, _DIAG_B = np.divmod(np.arange(DIM * DIM), DIM)
+_DIAG_A, _DIAG_B = np.divmod(_DIAG, DIM)
 
 
 def _template_and_diagonals(h, diagonals, dec: Decoherence):
@@ -155,14 +156,14 @@ def _template_and_diagonals(h, diagonals, dec: Decoherence):
     real ``(m, 3)`` array ``diagonals``, as the template ``build_liouvillian``
     of ``h`` with a zero diagonal and the ``(m, 9)`` diagonals of L.
 
-    Written out by :func:`_generators`, each member is bit for bit
-    ``build_liouvillian`` of its own Hamiltonian, and an overflowing
-    member raises as that would.  L reads the diagonal of H by value only
-    on its own diagonal, -i (h_bb - h_aa) at 3a + b; elsewhere only
-    through products 0 * h_aa, zeros whose sign the decay sum drops by
-    adding +0 or a positive rate to every off-diagonal entry.  So each
-    member is the template with its 9 diagonal entries written by that
-    function's operations.
+    Written out as :func:`_steady_states` writes them, each member is bit
+    for bit ``build_liouvillian`` of its own Hamiltonian, and an
+    overflowing member raises as that would.  L reads the diagonal of H
+    by value only on its own diagonal, -i (h_bb - h_aa) at 3a + b;
+    elsewhere only through products 0 * h_aa, zeros whose sign the decay
+    sum drops by adding +0 or a positive rate to every off-diagonal
+    entry.  So each member is the template with its 9 diagonal entries
+    written by that function's operations.
     """
     h = numerics.as_complex_matrix(h).copy()
     np.fill_diagonal(h, 0.0)
@@ -175,16 +176,6 @@ def _template_and_diagonals(h, diagonals, dec: Decoherence):
     if not np.all(np.isfinite(diag)):
         raise InvariantViolation("Liouvillian is not finite: rates or drives overflow")
     return template, diag
-
-
-def _generators(template, diag) -> np.ndarray:
-    """``template`` with each row of the ``(m, 9)`` array ``diag`` written
-    on its diagonal, as an ``(m, 9, 9)`` stack."""
-    lv = np.empty((len(diag),) + template.shape, dtype=complex)
-    lv[...] = template
-    i = np.arange(DIM * DIM)
-    lv[:, i, i] = diag
-    return lv
 
 
 #: Relative margin of the positivity certificate: a member is cleared when
@@ -259,29 +250,34 @@ def validate_density_matrix(rho, trace_tol: float = DENSITY_TRACE_TOL,
 
 
 def _steady_states(template, diag) -> np.ndarray:
-    """Steady states of the generators ``_generators(template, diag)``, an
-    ``(m, 3, 3)`` array; each member's state is bit for bit its own alone.
+    """Steady states of the generators ``template`` with each row of the
+    ``(m, 9)`` array ``diag`` on its diagonal, an ``(m, 3, 3)`` array; each
+    member's state is bit for bit its own alone.
 
-    Row 0 of each generator, linearly dependent on rows 4 and 8 through
-    trace preservation, is replaced by the trace row, and the systems are
-    written into one column-major buffer that
-    :func:`numerics.solve_in_place` solves where it lies.  The buffer is
-    freed before the generator stack is built for the residuals
-    ||L vec(rho)||_inf, so one stack is alive at a time.  A singular
-    solve, then a residual above ``STEADY_STATE_RESIDUAL``, raises
-    DegenerateSteadyState with the message of the first failing member;
-    the states are then validated.
+    The generators live in one ``(m, 9, 9)`` array.  It first holds the
+    members of L^T, so that its transposed view holds L column-major,
+    and row 0 of each L, linearly dependent on rows 4 and 8 through
+    trace preservation, is replaced there by the trace row:
+    :func:`numerics.solve_in_place` solves those systems where they lie.
+    The generators are then written over the factors, now as L, for the
+    residuals ||L vec(rho)||_inf.  A singular solve, then a residual
+    above ``STEADY_STATE_RESIDUAL``, raises DegenerateSteadyState with
+    the message of the first failing member; the states are then
+    validated.
     """
-    # the stack of L^T, viewed transposed: column-major members of L
-    a = _generators(template.T, diag).transpose(0, 2, 1)
+    lv = np.empty((len(diag),) + template.shape, dtype=complex)
+    lv[...] = template.T
+    lv[:, _DIAG, _DIAG] = diag
+    a = lv.transpose(0, 2, 1)
     a[:, 0, :] = _TRACE_ROW
     x = np.repeat(_UNIT_TRACE[None], len(a), axis=0)
     try:
         numerics.solve_in_place(a, x)
     except SingularMatrix as exc:
         raise DegenerateSteadyState(f"singular steady-state solve: {exc}") from exc
-    del a
-    residual = np.max(np.abs((_generators(template, diag) @ x[..., None])[..., 0]), axis=-1)
+    lv[...] = template
+    lv[:, _DIAG, _DIAG] = diag
+    residual = np.max(np.abs((lv @ x[..., None])[..., 0]), axis=-1)
     # "not within bound", so that a solve that overflowed to NaN fails too
     failed = ~(residual <= STEADY_STATE_RESIDUAL)
     if np.any(failed):
@@ -312,7 +308,7 @@ def steady_state_block(h, diagonals, dec: Decoherence) -> np.ndarray:
     """Steady states of the generators of ``h`` with its diagonal replaced
     by each row of the real ``(m, 3)`` array ``diagonals``, each bit for
     bit ``steady_state`` of its ``build_liouvillian``: an ``(m, 3, 3)``
-    array, from one :func:`_steady_states` buffer.
+    array, from one :func:`_steady_states` generator array.
     """
     return _steady_states(*_template_and_diagonals(h, diagonals, dec))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom import Decoherence, DriveSet, global_phase, rotating_hamiltonian
+from .atom import Decoherence, DriveSet, global_phase, rotating_diagonal, rotating_hamiltonian
 from .csvout import write_csv
 from .errors import (
     DeltaEitaError,
@@ -49,17 +49,16 @@ FLANK_COMPARABLE_FACTOR = 3.0
 KK_ENDPOINT_FRACTION = 0.05
 
 #: Probe detunings solved together as one stack in a sweep.  The block
-#: bounds the one (block, 9, 9) complex buffer a block is solved in (1.3 MB
-#: at 1024), which with |.| of it for the pivot gate is a sweep's traced
-#: peak, ~1.8-2.0 buffers; the generator stack for the residuals is built
-#: after the buffer is freed.  Re-measured in the warm benchmark op mix
-#: (three interleaved rounds of 8 passes, op times scaled by the
-#: host-speed kernel, one BLAS thread, 2-vCPU host), blocks of 512 / 1024
-#: / 2048 / 4001 points took 43.2 / 40.7 / 39.9 / 39.8 ms per 4001-point
-#: KK op and 33.3 / 31.3 / 30.0 / 31.9 ms per 4 x 801-point phase sweep,
-#: with 385 / 371 / 394 / 463 and 32 / 129 / 26 / 26 fresh page faults per
-#: op (means, ``ru_minflt``).  Above 1024 the time moves by at most ~4%
-#: while the buffer grows with the block.
+#: bounds the one (block, 9, 9) complex generator array a block is solved
+#: and checked in (1.3 MB at 1024), which with |.| of it for the pivot
+#: gate is a sweep's traced peak, ~1.8-2.0 arrays.  Re-measured in the
+#: warm benchmark op mix (three interleaved rounds of 8 passes, op times
+#: scaled by the host-speed kernel, one BLAS thread, 2-vCPU host), blocks
+#: of 512 / 1024 / 2048 / 4001 points took 43.2 / 40.7 / 39.9 / 39.8 ms
+#: per 4001-point KK op and 33.3 / 31.3 / 30.0 / 31.9 ms per 4 x 801-point
+#: phase sweep, with 385 / 371 / 394 / 463 and 32 / 129 / 26 / 26 fresh
+#: page faults per op (means, ``ru_minflt``).  Above 1024 the time moves
+#: by at most ~4% while the array grows with the block.
 SWEEP_BLOCK = 1024
 
 
@@ -170,6 +169,13 @@ def kramers_kronig_grid() -> np.ndarray:
     return np.linspace(-20.0, 20.0, 4001)
 
 
+def _reported(drives: DriveSet, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reported coherences rho31 * exp(i phi13) and the populations of
+    the state stack ``rho`` ``(m, 3, 3)``: a table's two solved columns."""
+    return (scale_complex(rho[:, 2, 0], np.exp(1j * drives.d13.phase)),
+            rho.diagonal(axis1=1, axis2=2).real)
+
+
 def probe_response(drives: DriveSet, dec: Decoherence, delta13: float) -> SpectrumTable:
     """Steady-state response at one probe detuning, as a one-row table.
 
@@ -179,30 +185,11 @@ def probe_response(drives: DriveSet, dec: Decoherence, delta13: float) -> Spectr
     allowed: the loop drives still generate a coherence at the probe
     frequency (the gain-without-probe configuration).
     """
-    d = drives.with_probe_detuning(delta13)
-    rho = steady_state(build_liouvillian(rotating_hamiltonian(d), dec))
-    return SpectrumTable(detunings=[delta13],
-                         rho31=scale_complex(rho[None, 2, 0], np.exp(1j * d.d13.phase)),
-                         populations=np.diag(rho).real[None], drives=drives, dec=dec)
-
-
-def _sweep_block(drives: DriveSet, dec: Decoherence,
-                 block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reported coherences and populations at a block of detunings, from
-    one stacked solve.
-
-    Each member's Hamiltonian diagonal gets the entries
-    ``rotating_hamiltonian`` gives it at that detuning, by the same
-    floating-point operations, and ``steady_state_block`` solves each
-    member bit for bit as ``steady_state`` solves its ``build_liouvillian``
-    generator, so every row is bit for bit the ``probe_response`` row.
-    """
-    diagonals = np.zeros((block.size, 3))
-    diagonals[:, 1] = -(block - drives.d23.detuning)
-    diagonals[:, 2] = -block
-    rho = steady_state_block(rotating_hamiltonian(drives), diagonals, dec)
-    return (scale_complex(rho[:, 2, 0], np.exp(1j * drives.d13.phase)),
-            rho.diagonal(axis1=1, axis2=2).real)
+    rho = steady_state(build_liouvillian(
+        rotating_hamiltonian(drives.with_probe_detuning(delta13)), dec))
+    rho31, populations = _reported(drives, rho[None])
+    return SpectrumTable(detunings=[delta13], rho31=rho31, populations=populations,
+                         drives=drives, dec=dec)
 
 
 def sweep_detuning(drives: DriveSet, dec: Decoherence, grid) -> SpectrumTable:
@@ -210,33 +197,36 @@ def sweep_detuning(drives: DriveSet, dec: Decoherence, grid) -> SpectrumTable:
     which delta12 = delta13 - delta23 must be finite too (ValidationError).
 
     The grid is solved in blocks of ``SWEEP_BLOCK`` detunings, each by
-    ``lindblad.steady_state_block`` in one buffer.  When a block fails,
-    its points are solved one by one, so the error
-    comes from the first failing detuning in grid order, with the type
-    and message ``probe_response`` gives there and that detuning attached.
+    ``lindblad.steady_state_block`` in one generator array: the drive
+    Hamiltonian with each detuning's ``rotating_diagonal``, the diagonal
+    ``rotating_hamiltonian`` gives it there, so every row is bit for bit
+    the ``probe_response`` row.  When a block fails, its points are
+    solved one by one, so the error comes from the first failing detuning
+    in grid order, with the type and message ``probe_response`` gives
+    there and that detuning attached.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValidationError("detuning grid must be a nonempty 1-d sequence")
     _check_grid(grid)
-    with np.errstate(over="ignore"):
-        delta12 = grid - drives.d23.detuning
-    if not np.all(np.isfinite(delta12)):
+    diagonals = rotating_diagonal(drives, grid)
+    if not np.all(np.isfinite(diagonals[:, 1])):
         raise ValidationError(
             f"delta12 = delta13 - delta23 is not finite at "
-            f"delta13={grid[np.argmin(np.isfinite(delta12))]:g}")
+            f"delta13={grid[np.argmin(np.isfinite(diagonals[:, 1]))]:g}")
+    h = rotating_hamiltonian(drives)
     rho31, pops = [], []
     for start in range(0, grid.size, SWEEP_BLOCK):
-        block = grid[start:start + SWEEP_BLOCK]
+        block = slice(start, start + SWEEP_BLOCK)
         try:
-            r, p = _sweep_block(drives, dec, block)
+            r, p = _reported(drives, steady_state_block(h, diagonals[block], dec))
         except (DeltaEitaError, ValueError) as exc:
             block_error = exc
         else:
             rho31.append(r)
             pops.append(p)
             continue
-        for d in block:
+        for d in grid[block]:
             try:
                 probe_response(drives, dec, d)
             except Exception as exc:
@@ -417,22 +407,13 @@ def find_peaks(table: SpectrumTable) -> PeakReport:
 
     if pair is not None:
         (il, pl, hl), (ir, pr, hr) = pair
-        inner = slice(il + 1, ir)
-        if ir - il < 3:
-            raise InsufficientResolution("window between flanks spans fewer than 3 points")
         thr = 0.25 * (abs(hl) + abs(hr))
-        k = il + 1 + int(np.argmin(y[inner]))
-        dip_pos, dip_val = _refine(x, y, k)
-        if dip_val < 0.0:
-            fwhm = _abs_threshold_span(x, y, dip_pos, pl, pr, thr)
-            return PeakReport(positions, heights, dip_pos, fwhm, "AMPLIFICATION_WINDOW")
+        dip_pos, dip_val = _refine(x, y, il + 1 + int(np.argmin(y[il + 1:ir])))
         if dip_val <= thr:
             fwhm = _abs_threshold_span(x, y, dip_pos, pl, pr, thr)
-            return PeakReport(positions, heights, dip_pos, fwhm, "EIT")
-        center, fwhm = _lobe_fwhm(x, y, +1.0)
-        return PeakReport(positions, heights, center, fwhm, "ABSORPTION")
-
-    if maxima and minima:
+            label = "AMPLIFICATION_WINDOW" if dip_val < 0.0 else "EIT"
+            return PeakReport(positions, heights, dip_pos, fwhm, label)
+    elif maxima and minima:
         dominant = max(ext, key=lambda e: abs(e[2]))
         others = sorted((e for e in ext if np.sign(e[2]) != np.sign(dominant[2])),
                         key=lambda e: abs(e[1] - dominant[1]))
@@ -445,11 +426,9 @@ def find_peaks(table: SpectrumTable) -> PeakReport:
         fwhm = _abs_threshold_span(x, y, center, lo, hi, thr)
         return PeakReport(positions, heights, center, fwhm, "EITA")
 
-    if maxima:
-        center, fwhm = _lobe_fwhm(x, y, +1.0)
-        return PeakReport(positions, heights, center, fwhm, "ABSORPTION")
-    center, fwhm = _lobe_fwhm(x, y, -1.0)
-    return PeakReport(positions, heights, center, fwhm, "LWI")
+    # a windowless profile: one lobe, absorbing if any maximum counts
+    center, fwhm = _lobe_fwhm(x, y, 1.0 if maxima else -1.0)
+    return PeakReport(positions, heights, center, fwhm, "ABSORPTION" if maxima else "LWI")
 
 
 def hilbert_transform(values, grid) -> np.ndarray:

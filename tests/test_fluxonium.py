@@ -382,6 +382,10 @@ class TestBalancedBias:
                                                r"f\(hi\)=-?\d\.\d{3}e[-+]\d\d$"):
             find_balanced_bias(DEVICE, flux_sweep(DEVICE, (0.3, 0.45)))
 
+    def test_no_spectra_is_no_sign_change(self):
+        with pytest.raises(NoSignChange, match=r"^no sign change: no spectra to search$"):
+            find_balanced_bias(DEVICE, [])
+
     def test_device_crossing_near_expected_bias(self):
         s = find_balanced_bias(DEVICE, flux_sweep(DEVICE, (0.01, 0.2)))
         assert 0.0 < s.flux < 0.2

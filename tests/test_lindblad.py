@@ -145,8 +145,13 @@ class TestBuildLiouvillian:
 
 
 def liouvillian_block(h, diagonals, dec):
-    """The ``(m, 9, 9)`` generators a sweep block's residuals are taken on."""
-    return lindblad._generators(*lindblad._template_and_diagonals(h, diagonals, dec))
+    """The ``(m, 9, 9)`` generators a sweep block's residuals are taken on:
+    the template with each member's diagonal written on it, as
+    ``lindblad._steady_states`` writes them."""
+    template, diag = lindblad._template_and_diagonals(h, diagonals, dec)
+    lv = np.repeat(template[None], len(diag), axis=0)
+    lv[:, range(9), range(9)] = diag
+    return lv
 
 
 class TestLiouvillianBlock:

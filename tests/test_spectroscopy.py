@@ -28,6 +28,7 @@ from delta_eita import (
     sweep_phase,
 )
 from delta_eita import lindblad, spectroscopy
+from delta_eita.atom import rotating_diagonal
 from delta_eita.lindblad import evolve, maximally_mixed
 from delta_eita.spectroscopy import SWEEP_BLOCK, SpectrumTable, kramers_kronig_grid
 
@@ -347,6 +348,14 @@ def outcome(drives, dec, delta13):
         return str(exc)
 
 
+def block_rows(drives, dec, grid):
+    """A sweep block's reported coherences and populations, from one
+    ``steady_state_block`` solve of ``grid``, without the per-point retry."""
+    rho = lindblad.steady_state_block(rotating_hamiltonian(drives),
+                                      rotating_diagonal(drives, grid), dec)
+    return spectroscopy._reported(drives, rho)
+
+
 def residuals(solve, drives, dec, grid):
     """Per point, ``steady_state``'s residual ||L x||_inf, with the
     trace-row system solved by ``solve``."""
@@ -433,22 +442,22 @@ class TestStackedSweep:
             rows = [outcome(drives, dec, d) for d in grid]
             kept = [k for k, row in enumerate(rows) if not isinstance(row, str)]
             assert 0 < len(kept) < len(grid)
-            rho31, pops = spectroscopy._sweep_block(drives, dec, grid[kept])
+            rho31, pops = block_rows(drives, dec, grid[kept])
             assert rho31.tobytes() == np.concatenate([rows[k].rho31 for k in kept]).tobytes()
             assert pops.tobytes() == np.concatenate([rows[k].populations for k in kept]).tobytes()
             for k, row in enumerate(rows):
                 if isinstance(row, str):
                     with pytest.raises(DegenerateSteadyState) as err:
-                        spectroscopy._sweep_block(drives, dec, grid[sorted(kept + [k])])
+                        block_rows(drives, dec, grid[sorted(kept + [k])])
                     assert str(err.value) == row
 
     @pytest.mark.parametrize("grid", [np.linspace(-4.0, 4.0, 801), kramers_kronig_grid()],
                              ids=["801", "4001"])
     def test_traced_peak_stays_below_two_and_a_half_stacks(self, stock_drives, stock_dec, grid):
-        # one (block, 9, 9) buffer solved in place, plus |.| of it for the
-        # pivot gate, then the generator stack for the residuals once the
-        # buffer is freed; the generator stack and its two copies alive at
-        # once peaked at 3.65 (801 points) and 3.91 (4001) such stacks
+        # one (block, 9, 9) generator array solved in place, plus |.| of it
+        # for the pivot gate, and the residuals taken on the generators
+        # written back into it; a generator stack and its two copies alive
+        # at once peaked at 3.65 (801 points) and 3.91 (4001) such stacks
         sweep_detuning(stock_drives, stock_dec, grid)
         tracemalloc.start()
         try:

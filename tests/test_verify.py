@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from delta_eita import numerics, verify
+from delta_eita import build_liouvillian, numerics, rotating_hamiltonian, verify
 from delta_eita.errors import NoSignChange
 from delta_eita.fluxonium import FluxoniumParams
+from delta_eita.spectroscopy import transparency_fwhm_estimate
 
 #: Every check `--mode verify` prints, in order.
 CHECK_NAMES = [
@@ -78,3 +79,35 @@ def test_failing_dstebz_raises_linalg_error(monkeypatch, m, info):
     monkeypatch.setattr(numerics, "_lapack", lambda: Stub)
     with pytest.raises(np.linalg.LinAlgError, match=f"LAPACK info={info}"):
         verify.realspace_levels(ORACLE_DEVICES[0], 0.08)
+
+
+def trace_row_system(drives, dec, delta13):
+    """The steady-state matrix A(delta13): L with row 0 replaced by the trace row."""
+    a = build_liouvillian(rotating_hamiltonian(drives.with_probe_detuning(delta13)), dec)
+    a[0] = np.eye(3).reshape(-1)
+    return a
+
+
+def test_window_width_check_measures_an_autler_townes_doublet():
+    # why 4b fails: A(delta) = A0 + delta E, E diagonal on rho21, rho31,
+    # rho12, rho13 (column stacking: 1, 2, 3, 6), so the response has
+    # poles at -1/lambda for the eigenvalues lambda of A0^-1 E there
+    drives = verify.reference_drives(omega12=0.0, omega13=0.05, omega23=3.0)
+    dec = verify.reference_decoherence()
+    a0 = trace_row_system(drives, dec, 0.0)
+    e = trace_row_system(drives, dec, 1.0) - a0
+    support = [1, 2, 3, 6]
+    assert np.count_nonzero(e - np.diag(np.diag(e))) == 0
+    assert np.flatnonzero(np.diag(e)).tolist() == support
+    z = np.linalg.solve(a0, e[:, support])[support]
+    poles = -1.0 / np.linalg.eigvals(z)
+    causal = np.sort_complex(poles[poles.imag < 0.0])
+    # the weak-probe closed form's roots: an Autler-Townes doublet split by
+    # sqrt(Omega23^2 - (Gamma3 - gamma12/2)^2), not one narrow EIT pole
+    half = 0.5 * np.sqrt(3.0 ** 2 - (dec.big_gamma3 - 0.5 * dec.gamma12) ** 2)
+    width = 0.5 * (dec.big_gamma3 + 0.5 * dec.gamma12)
+    np.testing.assert_allclose(causal, [-half - 1j * width, half - 1j * width], rtol=0, atol=2e-3)
+    # a window between the doublet's poles is at most their separation
+    # wide, and the narrow-window estimate 4b compares with exceeds it
+    separation = abs(causal[1] - causal[0])
+    assert transparency_fwhm_estimate(dec, 3.0) > separation
