@@ -52,6 +52,7 @@ from .lindblad import (
 )
 from .spectroscopy import (
     SpectrumTable,
+    _reported,
     autler_townes_positions,
     find_peaks,
     population_inversion_scan,
@@ -127,11 +128,10 @@ def run(cfg: RunConfig) -> int:
         rho = {"ground": ground_state(), "mixed": maximally_mixed(),
                "excited": level_projector(3)}[cfg.evolve_initial]
         times = np.linspace(0.0, cfg.evolve_t, 201)
-        states = propagate(lv, rho, times)
-        pops = states.diagonal(axis1=1, axis2=2).real
+        rho31, pops = _reported(cfg.drives, propagate(lv, rho, times))
         path = _out_path(cfg, "evolve")
         write_csv(path, ("t", "pop1", "pop2", "pop3", "re_rho31", "im_rho31"),
-                  (times, *pops.T, states[:, 2, 0].real, states[:, 2, 0].imag))
+                  (times, *pops.T, rho31.real, rho31.imag))
         p1, p2, p3 = pops[-1]
         print(f"evolve t={cfg.evolve_t:g} initial={cfg.evolve_initial} "
               f"pops=({p1:.6g},{p2:.6g},{p3:.6g}) csv={path}")

@@ -28,7 +28,10 @@ the choice is observable-free.
 
 The lowest three eigenstates are the working levels |1>, |2>, |3>;
 ``t_ij`` denotes |<i| n |j>| = |<i| k |j>|, the charge coupling to a
-transmission line.
+transmission line.  Each bias is solved twice by the same real
+eigendecomposition (``numerics.hermitian_eig``), at ``basis_size`` and
+with ``BASIS_STEP`` more states; the second checks that the levels and
+the couplings the first reports have converged.
 """
 
 from __future__ import annotations
@@ -46,6 +49,11 @@ from .errors import BasisTooSmall, InvariantViolation, NoSignChange, ValidationE
 #: grows by BASIS_STEP states.
 BASIS_CONVERGENCE_GHZ = 1e-6
 BASIS_STEP = 20
+
+#: Convergence demanded of each charge coupling over the same step,
+#: relative to the largest coupling at that flux: a coupling that is zero
+#: by parity (t13 at flux 0.5) is measured against the others.
+COUPLING_CONVERGENCE = 1e-6
 
 #: Width of flux bracket at which the balanced-bias refinement stops.
 BIAS_TOLERANCE = 1e-12
@@ -168,32 +176,44 @@ def build_device_hamiltonian(p: FluxoniumParams, flux: float,
     return h
 
 
+def _lowest_three(p: FluxoniumParams, flux: float, n: int):
+    """The lowest three eigenvalues of H(flux) in the n-state basis and
+    (t12, t13, t23) among their eigenstates, from one real ``eigh``."""
+    w, v = numerics.hermitian_eig(build_device_hamiltonian(p, flux, basis_size=n))
+    states = v[:, :3]
+    t = np.abs(states.T @ _ladder_ops(p.ec, p.el, n)[1] @ states)
+    return w[:3], t[[0, 0, 1], [1, 2, 2]]
+
+
 def spectrum_at(p: FluxoniumParams, flux: float) -> FluxoniumSpectrum:
     """Diagonalize at one bias and extract levels and |<i|n|j>|.
 
     Levels and couplings come from the eigendecomposition at
-    ``basis_size``.  The convergence check needs eigenvalues only: the
-    lowest three are re-computed with ``BASIS_STEP`` more basis states,
-    alone and in real arithmetic (``numerics.lowest_symmetric_eigvals``),
-    and a shift above ``BASIS_CONVERGENCE_GHZ`` raises BasisTooSmall.
+    ``basis_size``; the same solve with ``BASIS_STEP`` more basis states
+    checks them.  BasisTooSmall is raised when the lowest three
+    eigenvalues shift by more than ``BASIS_CONVERGENCE_GHZ``, or else
+    when a coupling moves by more than ``COUPLING_CONVERGENCE`` of the
+    largest coupling at this flux.
     """
-    w, v = numerics.hermitian_eig(build_device_hamiltonian(p, flux))
-    w_big = numerics.lowest_symmetric_eigvals(
-        build_device_hamiltonian(p, flux, basis_size=p.basis_size + BASIS_STEP), 3)
-    shift = np.max(np.abs(w[:3] - w_big))
+    n, big = p.basis_size, p.basis_size + BASIS_STEP
+    w, t = _lowest_three(p, flux, n)
+    w_big, t_big = _lowest_three(p, flux, big)
+    shift = np.max(np.abs(w - w_big))
     if shift > BASIS_CONVERGENCE_GHZ:
         raise BasisTooSmall(
             f"lowest eigenvalues shift by {shift:.3e} GHz when the basis grows "
-            f"from {p.basis_size} to {p.basis_size + BASIS_STEP}")
-    k = _ladder_ops(p.ec, p.el, p.basis_size)[1]
-    states = v[:, :3]
-    t = np.abs(states.conj().T @ k @ states)
+            f"from {n} to {big}")
+    moved, largest = np.max(np.abs(t - t_big)), np.max(t)
+    if moved > COUPLING_CONVERGENCE * largest:
+        raise BasisTooSmall(
+            f"charge couplings move by {moved:.3e} when the basis grows from {n} to "
+            f"{big}, above {COUPLING_CONVERGENCE:.0e} of the largest, {largest:.3e}")
     return FluxoniumSpectrum(
         flux=float(flux),
         levels=(0.0, float(w[1] - w[0]), float(w[2] - w[0])),
-        t12=float(t[0, 1]),
-        t13=float(t[0, 2]),
-        t23=float(t[1, 2]),
+        t12=float(t[0]),
+        t13=float(t[1]),
+        t23=float(t[2]),
     )
 
 

@@ -1,17 +1,16 @@
 """Dense linear-algebra kernels used by the physics modules.
 
 Everything here is domain-free: a pivoted linear solve in place
-with explicit singularity detection, the matrix exponential, Hermitian
-eigendecomposition, and the lowest few eigenvalues alone of a real
-symmetric matrix.  Matrices are plain ``numpy.ndarray`` of complex128
-(real float64 for the lowest eigenvalues); the validation helpers enforce
-the finite-entries contract at the boundary.  The solve takes a stack
-``(m, n, n)`` of column-major members, which its caller lays out, and the
-exponential a matrix or a stack; each member's result is bit for bit the
-one it gets alone.  The exponential is numpy alone; the solve, the lowest
-eigenvalues (and the tridiagonal eigensolve of ``verify``'s fluxonium
-oracle) load scipy's LAPACK wrappers from their file but never import
-scipy.
+with explicit singularity detection, the matrix exponential, and
+Hermitian eigendecomposition.  Matrices are plain ``numpy.ndarray`` of
+complex128, except that the eigendecomposition keeps a real symmetric
+matrix real; the validation helpers enforce the finite-entries contract
+at the boundary.  The solve takes a stack ``(m, n, n)`` of column-major
+members, which its caller lays out, and the exponential a matrix or a
+stack; each member's result is bit for bit the one it gets alone.  The
+exponential and the eigendecomposition are numpy alone; the solve (and
+the tridiagonal eigensolve of ``verify``'s fluxonium oracle) load
+scipy's LAPACK wrappers from their file but never import scipy.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .errors import DimensionMismatch, NotHermitian, SingularMatrix
 #: Relative pivot size below which a pivoted LU is declared rank deficient.
 SINGULARITY_THRESHOLD = 1e-12
 
-#: Elementwise asymmetry tolerance for hermitian_eig and lowest_symmetric_eigvals input.
+#: Elementwise asymmetry tolerance for hermitian_eig input.
 HERMITICITY_TOLERANCE = 1e-12
 
 
@@ -81,9 +80,8 @@ def scale_complex(z, c: complex):
 def _lapack():
     """scipy's LAPACK wrappers, the extension ``scipy.linalg._flapack``.
 
-    Its ``zgesv`` (``zgetrf`` then ``zgetrs``) serves :func:`solve_in_place`,
-    its ``dsyevr`` serves :func:`lowest_symmetric_eigvals`, and its
-    tridiagonal bisection ``dstebz`` serves ``verify.realspace_levels``.
+    Its ``zgesv`` (``zgetrf`` then ``zgetrs``) serves :func:`solve_in_place`
+    and its tridiagonal bisection ``dstebz`` ``verify.realspace_levels``.
     The extension is loaded from its file on its own, so the scipy
     package (~0.3 s of imports) is never imported.
     """
@@ -220,46 +218,19 @@ def expm(a) -> np.ndarray:
     return out.reshape(a.shape)
 
 
-def _hermitian_matrix(a, dtype=complex) -> np.ndarray:
-    """``a`` as a finite square matrix of ``dtype`` (:func:`_square_matrix`)
-    that deviates from its conjugate transpose by at most
-    ``HERMITICITY_TOLERANCE`` elementwise; NotHermitian otherwise."""
-    a = _square_matrix(a, dtype)
+def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix, in real arithmetic when
+    ``a`` is real: a real symmetric matrix is never made complex.
+
+    Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues in
+    ascending order and orthonormal eigenvector columns, real for a real
+    ``a``.  Raises NotHermitian when ``a`` deviates from its conjugate
+    transpose by more than ``HERMITICITY_TOLERANCE`` elementwise, and the
+    errors of :func:`_square_matrix` for a non-square or non-finite ``a``.
+    """
+    a = _square_matrix(a, complex if np.iscomplexobj(a) else float)
     asym = np.max(np.abs(a - a.conj().T))
     if asym > HERMITICITY_TOLERANCE:
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds {HERMITICITY_TOLERANCE:.0e}")
-    return a
-
-
-def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues in
-    ascending order and orthonormal eigenvector columns.  Raises
-    NotHermitian when ``a`` deviates from its conjugate transpose by more
-    than ``HERMITICITY_TOLERANCE`` elementwise.
-    """
-    w, v = np.linalg.eigh(_hermitian_matrix(a))
+    w, v = np.linalg.eigh(a)
     return w, v
-
-
-def lowest_symmetric_eigvals(a, count: int) -> np.ndarray:
-    """The lowest ``count`` eigenvalues of a real symmetric matrix, ascending,
-    from one values-only LAPACK ``dsyevr`` call (see :func:`_lapack`):
-    ``dsytrd`` to tridiagonal form, then ``dstebz`` bisection for just these.
-
-    The input gates, types and messages are :func:`hermitian_eig`'s, in real
-    arithmetic.  A complex ``a`` raises TypeError instead of losing its
-    imaginary part, and ``count`` outside ``1 ... n`` ValueError.  Raises
-    LinAlgError when ``dsyevr`` fails or finds other than ``count`` values.
-    """
-    if np.iscomplexobj(a):
-        raise TypeError("expected a real matrix, got a complex one")
-    a = _hermitian_matrix(a, float)
-    if not 1 <= count <= a.shape[0]:
-        raise ValueError(f"count must be in 1 ... {a.shape[0]}, got {count}")
-    w, _, m, _, info = _lapack().dsyevr(a, compute_v=0, range="I", il=1, iu=count)
-    if info != 0 or m != count:
-        raise np.linalg.LinAlgError(
-            f"dsyevr failed: info={info}, {m} of {count} eigenvalues found")
-    return w[:count]

@@ -428,9 +428,11 @@ def check_kramers_kronig_lorentzian() -> tuple[bool, str]:
 
 # --- fluxonium device ----------------------------------------------------------------
 
-def realspace_levels(p: FluxoniumParams, flux: float) -> tuple[float, float]:
-    """Independent device levels from a 2048-point finite-difference phase grid."""
-    npts, halfspan = 2048, 6.0 * np.pi
+def realspace_levels(p: FluxoniumParams, flux: float,
+                     npts: int = 2048) -> tuple[float, float]:
+    """Independent device levels from an ``npts``-point finite-difference
+    phase grid; its second difference is accurate to O(dx^2)."""
+    halfspan = 6.0 * np.pi
     x = np.linspace(2.0 * np.pi * flux - halfspan, 2.0 * np.pi * flux + halfspan, npts)
     dx = x[1] - x[0]
     pot = -p.ej * np.cos(x) + 0.5 * p.el * (x - 2.0 * np.pi * flux) ** 2

@@ -342,6 +342,24 @@ class TestMainModes:
         assert lines[0] == "t,pop1,pop2,pop3,re_rho31,im_rho31"
         assert len(lines) == 202
 
+    def test_evolve_csv_does_not_depend_on_the_gauge(self, tmp_path):
+        # phi12 = phi13 = 1 is the stock loop phase 0 in another gauge: the
+        # raw rho31 turns by exp(-i phi13), the reported rho31 exp(i phi13)
+        # does not, and the populations never do
+        stock = (CONFIG_DIR / "eita.ini").read_text(encoding="utf-8").replace(
+            "mode = sweep", "mode = evolve") + "\n[evolve]\nt = 5.0\n"
+        shifted = stock.replace("magnitude = 0.2\nphase = 0.0",
+                                "magnitude = 0.2\nphase = 1.0")
+        assert shifted.count("phase = 1.0") == 2
+        tables = []
+        for name, text in (("stock", stock), ("shifted", shifted)):
+            assert main(["--config", self.write(tmp_path, text),
+                         "--out", str(tmp_path / name)]) == 0
+            tables.append(np.loadtxt(tmp_path / name / "eita.csv", delimiter=",",
+                                     skiprows=1))
+        assert np.max(np.abs(tables[1][-1, 4:])) > 0.1
+        assert np.max(np.abs(tables[0] - tables[1])) <= 1e-12
+
     def test_phase_sweep_writes_per_phase(self, tmp_path):
         text = MINIMAL_EIT.replace("mode = sweep", "mode = phase-sweep")
         text = text.replace("points = 41", "points = 41\nphases = 0.0,3.141592653589793")

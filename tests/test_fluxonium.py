@@ -17,7 +17,6 @@ from delta_eita import (
     find_balanced_bias,
     flux_sweep,
     fluxonium,
-    numerics,
     scale_decay_rates,
     spectrum_at,
 )
@@ -25,6 +24,7 @@ from delta_eita.fluxonium import (
     BASIS_CONVERGENCE_GHZ,
     BASIS_STEP,
     BIAS_TOLERANCE,
+    COUPLING_CONVERGENCE,
     FluxoniumSpectrum,
     _ladder_ops,
     write_fluxonium_csv,
@@ -158,87 +158,122 @@ class TestCachedTermsMatchDirectForm:
         assert np.max(np.abs(np.array([s.t12, s.t13, s.t23]) - want[1])) <= 1e-12
 
 
-def spectrum_from_two_decompositions(p, flux):
-    """``spectrum_at`` with its basis check taken from a second full
-    ``hermitian_eig``, eigenvectors and all: ``(levels, (t12, t13, t23))``,
-    or the BasisTooSmall message."""
+def complex_lowest_three(p, flux, size):
+    """The lowest three eigenvalues of H(f) and (t12, t13, t23) among
+    their states, from numpy's ``eigh`` of H(f) made complex."""
+    w, v = np.linalg.eigh(build_device_hamiltonian(p, flux, basis_size=size).astype(complex))
+    states = v[:, :3]
+    t = np.abs(states.conj().T @ _ladder_ops(p.ec, p.el, size)[1] @ states)
+    return w[:3], t[[0, 0, 1], [1, 2, 2]]
+
+
+def complex_oracle(p, flux):
+    """``spectrum_at`` from two complex eigendecompositions, at basis n and
+    n + BASIS_STEP, applying both gates: ``(levels, (t12, t13, t23))``, or
+    the BasisTooSmall message."""
     n, big = p.basis_size, p.basis_size + BASIS_STEP
-    w, v = numerics.hermitian_eig(build_device_hamiltonian(p, flux))
-    w_big, _ = numerics.hermitian_eig(build_device_hamiltonian(p, flux, basis_size=big))
-    shift = np.max(np.abs(w[:3] - w_big[:3]))
+    (w, t), (w_big, t_big) = (complex_lowest_three(p, flux, size) for size in (n, big))
+    shift = np.max(np.abs(w - w_big))
     if shift > BASIS_CONVERGENCE_GHZ:
         return (f"lowest eigenvalues shift by {shift:.3e} GHz when the basis grows "
                 f"from {n} to {big}")
-    states = v[:, :3]
-    t = np.abs(states.conj().T @ _ladder_ops(p.ec, p.el, n)[1] @ states)
-    return (0.0, float(w[1] - w[0]), float(w[2] - w[0])), (t[0, 1], t[0, 2], t[1, 2])
+    moved, largest = np.max(np.abs(t - t_big)), np.max(t)
+    if moved > COUPLING_CONVERGENCE * largest:
+        return (f"charge couplings move by {moved:.3e} when the basis grows from {n} to "
+                f"{big}, above {COUPLING_CONVERGENCE:.0e} of the largest, {largest:.3e}")
+    return (0.0, w[1] - w[0], w[2] - w[0]), tuple(t)
 
 
-def bits(values) -> bytes:
-    return np.array(values, dtype=float).tobytes()
+#: The stock device and the 11 other benchmark pool devices, d1 ... d11,
+#: drawn from ej 8.5-9.5, ec 2.3-2.7, el 0.46-0.58 GHz.
+BENCH_DEVICES = [DEVICE] + [FluxoniumParams(ej=ej, ec=ec, el=el) for ej, ec, el in (
+    (8.735, 2.473, 0.55), (8.966, 2.603, 0.538), (9.134, 2.577, 0.579),
+    (9.036, 2.339, 0.576), (9.045, 2.545, 0.533), (9.361, 2.523, 0.553),
+    (9.428, 2.645, 0.517), (9.023, 2.392, 0.48), (8.625, 2.384, 0.545),
+    (9.462, 2.348, 0.543), (9.1, 2.611, 0.558))]
 
 
 #: The stock device and three benchmark pool devices (d1, d8, d10).
-POOL_DEVICES = {"stock": DEVICE,
-                "pool-d1": FluxoniumParams(ej=8.735, ec=2.473, el=0.55),
-                "pool-d8": FluxoniumParams(ej=9.023, ec=2.392, el=0.48),
-                "pool-d10": FluxoniumParams(ej=9.462, ec=2.348, el=0.543)}
+POOL_DEVICES = {"stock": DEVICE, "pool-d1": BENCH_DEVICES[1], "pool-d8": BENCH_DEVICES[8],
+                "pool-d10": BENCH_DEVICES[10]}
+
+#: A heavy device whose levels pass the 1e-6 GHz gate at basis 100 while
+#: its couplings are unconverged: it printed g12 = 3.37 MHz against a
+#: converged 3.15 before the couplings were gated.
+HEAVY = FluxoniumParams(ej=20.0, ec=0.5, el=0.2)
 
 
 class TestBasisCheckFromEigenvalues:
-    # the check at basis n + BASIS_STEP takes the lowest three eigenvalues
-    # alone, in real arithmetic; every output is still that of two full
-    # complex eigendecompositions, bit for bit
+    # the check at basis n + BASIS_STEP is the solve at basis n, repeated:
+    # one real eigendecomposition, whose eigenvalues and couplings agree
+    # with a complex one, and so does every outcome of the two gates
 
     @pytest.mark.parametrize("p", POOL_DEVICES.values(), ids=POOL_DEVICES.keys())
     @pytest.mark.parametrize("flux", [0.0, 0.01, 0.25, 0.5])
-    def test_check_eigenvalues_match_complex_eigvalsh(self, p, flux, monkeypatch):
-        calls = []
-        lowest = numerics.lowest_symmetric_eigvals
-
-        def spy(a, count):
-            calls.append((a, lowest(a, count)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(numerics, "lowest_symmetric_eigvals", spy)
-        spectrum_at(p, flux)
-        (h_big, w_big), = calls
-        assert h_big.shape == (p.basis_size + BASIS_STEP,) * 2
-        oracle = np.linalg.eigvalsh(h_big.astype(complex))[:3]
-        assert w_big.shape == (3,) and np.max(np.abs(w_big - oracle)) <= 1e-12
+    def test_check_solve_matches_complex_eigh(self, p, flux):
+        big = p.basis_size + BASIS_STEP
+        for got, want in zip(fluxonium._lowest_three(p, flux, big),
+                             complex_lowest_three(p, flux, big)):
+            assert got.shape == (3,) and np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("p", POOL_DEVICES.values(), ids=POOL_DEVICES.keys())
     @pytest.mark.parametrize("flux", [0.0, 0.01, 0.25, 0.5])
-    def test_levels_and_couplings_bit_for_bit(self, p, flux):
-        levels, couplings = spectrum_from_two_decompositions(p, flux)
+    def test_levels_and_couplings_match_a_complex_oracle(self, p, flux):
+        levels, couplings = complex_oracle(p, flux)
         s = spectrum_at(p, flux)
-        assert bits(s.levels) == bits(levels)
-        assert bits([s.t12, s.t13, s.t23]) == bits(couplings)
+        assert np.max(np.abs(np.array(s.levels) - levels)) <= 1e-12
+        assert np.max(np.abs(np.array([s.t12, s.t13, s.t23]) - couplings)) <= 1e-12
 
     @pytest.mark.parametrize("p", POOL_DEVICES.values(), ids=POOL_DEVICES.keys())
     def test_basis_too_small_for_the_same_sizes(self, p):
-        # each device passes from the mid-40s or -50s on, not monotonically
-        raised = []
+        # each device passes from the mid-40s or -50s on, not monotonically;
+        # at zero flux the coupling gate fails at a size the levels pass
+        raised, gates = [], set()
         for n in range(30, 61):
             small = dataclasses.replace(p, basis_size=n)
-            want = spectrum_from_two_decompositions(small, 0.0)
+            want = complex_oracle(small, 0.0)
             if isinstance(want, str):
                 with pytest.raises(BasisTooSmall) as err:
                     spectrum_at(small, 0.0)
                 assert str(err.value) == want
                 raised.append(n)
+                gates.add(want.split()[0])
             else:
                 s = spectrum_at(small, 0.0)
-                assert bits(s.levels) == bits(want[0])
+                assert np.max(np.abs(np.array(s.levels) - want[0])) <= 1e-12
         assert raised[0] == 30 and 45 < max(raised) < 60
+        assert gates == {"lowest", "charge"}
+
+    def test_unconverged_couplings_name_the_first_failing_flux(self):
+        # at flux 0.01 the levels pass their gate and the couplings do not;
+        # 100 more basis states converge them
+        with pytest.raises(BasisTooSmall, match=r"^at flux=0\.01: charge couplings move by "
+                                                r"1\.68\de-07 when the basis grows from 100 to 120"):
+            flux_sweep(HEAVY, STOCK_GRID)
+        assert complex_oracle(HEAVY, 0.01).startswith("charge couplings move by 1.68")
+        spectrum_at(dataclasses.replace(HEAVY, basis_size=200), 0.01)
+
+
+@pytest.mark.parametrize("p", BENCH_DEVICES, ids=[f"d{i}" for i in range(12)])
+def test_levels_match_an_extrapolated_realspace_oracle(p):
+    # an independent discretization: the real-space finite-difference
+    # levels at spacing dx and dx / 2 (2049 and 4097 points on one span),
+    # Richardson-extrapolated past their O(dx^2) error, which alone is
+    # up to 1.5e-4 GHz at 2048 points
+    for flux in (0.0, 0.08, 0.25, 0.5):
+        coarse, fine = (np.array(realspace_levels(p, flux, npts)) for npts in (2049, 4097))
+        oracle = (4.0 * fine - coarse) / 3.0
+        s = spectrum_at(p, flux)
+        assert np.max(np.abs(np.array([s.w10, s.w20]) - oracle)) <= 1e-7
 
 
 def test_stdout_does_not_depend_on_blas_threads(tmp_path):
     # the CSV cells do, in their last bits, at a thread count the caller
-    # sets: the basis-n ``eigh`` reduces H(f) to tridiagonal form with
-    # threaded BLAS (README "Conventions"); the basis check's ``dsyevr``
-    # does too, but it feeds only the 1e-6 GHz gate; on a single-CPU host
-    # every thread count runs one thread
+    # sets: both real ``eigh`` solves, at basis n and n + 20, reduce H(f)
+    # to tridiagonal form with threaded BLAS (README "Conventions"); the
+    # basis-n one reaches the CSV, the other only the two gates, whose
+    # bounds sit far above those bits; on a single-CPU host every thread
+    # count runs one thread
     argv = [sys.executable, "-m", "delta_eita.cli",
             "--config", str(ROOT / "configs" / "fluxonium.ini"), "--out", "out"]
     stdout = {}

@@ -328,23 +328,21 @@ class TestExpm:
         assert_matches_scipy_expm(1000.0 * lv)
 
 
-#: The eigenvalues of both eigensolvers: ``lowest_symmetric_eigvals``, asked
-#: for all of them, is one more input to each ``hermitian_eig`` test below
-#: that needs no eigenvectors and no complex matrix.
-EIGENVALUES = {"hermitian_eig": lambda a: numerics.hermitian_eig(a)[0],
-               "lowest_symmetric_eigvals":
-                   lambda a: numerics.lowest_symmetric_eigvals(a, len(a))}
+def both_arithmetics(a):
+    """A real matrix as it is and made complex: ``hermitian_eig`` solves
+    the first in real arithmetic and the second in complex."""
+    return (a, np.asarray(a, dtype=complex))
 
 
 class TestHermitianEig:
     def test_diagonal_sorted(self):
-        for eigenvalues in EIGENVALUES.values():
-            w = eigenvalues(np.diag([3.0, 1.0, 2.0]))
+        for a in both_arithmetics(np.diag([3.0, 1.0, 2.0])):
+            w = numerics.hermitian_eig(a)[0]
             np.testing.assert_allclose(w, [1.0, 2.0, 3.0], atol=1e-14)
 
     def test_exchange_matrix(self):
-        for eigenvalues in EIGENVALUES.values():
-            w = eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        for a in both_arithmetics(np.array([[0.0, 1.0], [1.0, 0.0]])):
+            w = numerics.hermitian_eig(a)[0]
             np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
 
     def test_reconstruction_50x50(self, rng):
@@ -357,29 +355,41 @@ class TestHermitianEig:
     def test_eigenvalue_sum_is_trace(self, rng):
         x = random_complex(rng, (12, 12))
         a = 0.5 * (x + x.conj().T)
-        assert abs(np.sum(numerics.hermitian_eig(a)[0]) - np.trace(a).real) <= 1e-9
-        for eigenvalues in EIGENVALUES.values():
-            assert abs(np.sum(eigenvalues(a.real)) - np.trace(a).real) <= 1e-9
+        for b in (a, *both_arithmetics(a.real)):
+            assert abs(np.sum(numerics.hermitian_eig(b)[0]) - np.trace(b).real) <= 1e-9
 
     def test_not_hermitian(self):
-        for eigenvalues in EIGENVALUES.values():
+        for a in both_arithmetics(np.array([[0.0, 1.0], [0.0, 0.0]])):
             with pytest.raises(NotHermitian):
-                eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+                numerics.hermitian_eig(a)
 
-    def test_eigenvalues_alone_equal_those_of_the_decomposition(self, rng):
+    def test_real_input_is_solved_in_real_arithmetic(self, rng):
         device = build_device_hamiltonian(FluxoniumParams(ej=9.0, ec=2.5, el=0.52), 0.13,
                                           basis_size=120)
         below_tolerance = np.array([[0.0, 1.0 + 5e-13], [1.0, 0.0]])
         random_symmetric = [0.5 * (x + x.T) for x in
                             (rng.normal(size=(n, n)) for n in (3, 12, 50, 120))]
         for a in (*random_symmetric, device, below_tolerance, np.eye(7),
-                  np.diag([2.0, 2.0, -1.0, 2.0]), np.zeros((1, 1))):
-            w = numerics.hermitian_eig(a)[0]
-            for count in sorted({1, min(3, len(a)), len(a)}):
-                w_low = numerics.lowest_symmetric_eigvals(a, count)
-                assert w_low.dtype == w.dtype and w_low.shape == (count,)
-                assert np.all(np.diff(w_low) >= 0.0)
-                assert np.max(np.abs(w_low - w[:count])) <= 1e-12 * np.max(np.abs(w))
+                  np.diag([2.0, 2.0, -1.0, 2.0]), np.zeros((1, 1)), [[2, 1], [1, 2]]):
+            w, v = numerics.hermitian_eig(a)
+            w_complex, v_complex = numerics.hermitian_eig(np.asarray(a, dtype=complex))
+            assert v.dtype == np.float64 and v_complex.dtype == complex
+            assert w.dtype == w_complex.dtype == np.float64
+            scale = max(np.max(np.abs(w)), 1.0)
+            assert np.max(np.abs(w - w_complex)) <= 1e-12 * scale
+            assert np.max(np.abs(np.asarray(a) @ v - v * w)) <= 1e-12 * len(w) * scale
+            assert np.max(np.abs(v.T @ v - np.eye(len(w)))) <= 1e-12 * len(w)
+
+    @pytest.mark.parametrize("a, want", [
+        (np.array([[1.0, 1j], [-1j, 1.0]]), [0.0, 2.0]),
+        (np.eye(3, dtype=complex), [1.0, 1.0, 1.0]),
+        ([[2.0, 0.5j], [-0.5j, 2.0]], [1.5, 2.5]),
+    ], ids=["hermitian", "real-valued-complex", "nested-list"])
+    def test_complex_input_is_solved_in_complex_arithmetic(self, a, want):
+        # not truncated to its real part
+        w, v = numerics.hermitian_eig(a)
+        assert v.dtype == complex
+        np.testing.assert_allclose(w, want, atol=1e-14)
 
     @pytest.mark.parametrize("a, error", [
         (np.array([[0.0, 1.0], [0.0, 0.0]]), NotHermitian),
@@ -394,45 +404,13 @@ class TestHermitianEig:
     ], ids=["lower-zero", "anti-hermitian", "just-above-tolerance", "non-square", "stack",
             "vector", "nan", "inf", "imaginary-inf"])
     def test_both_raise_the_same_errors(self, a, error):
-        # a complex matrix is no real symmetric one: the real solver
-        # refuses it whatever hermitian_eig makes of it
-        messages = {}
-        for name, eigenvalues in EIGENVALUES.items():
-            refused = name != "hermitian_eig" and np.iscomplexobj(a)
-            with pytest.raises(TypeError if refused else error) as err:
-                eigenvalues(a)
-            messages[name] = (type(err.value), str(err.value))
-        if not np.iscomplexobj(a):
-            assert messages["lowest_symmetric_eigvals"] == messages["hermitian_eig"]
-
-
-class TestLowestSymmetricEigvals:
-    @pytest.mark.parametrize("a", [
-        np.array([[1.0, 1j], [-1j, 1.0]]),
-        np.eye(3, dtype=complex),
-        [[2.0, 0.5j], [-0.5j, 2.0]],
-    ], ids=["hermitian", "real-valued-complex", "nested-list"])
-    def test_complex_input_is_refused(self, a):
-        # not silently truncated to its real part
-        with pytest.raises(TypeError, match="real matrix"):
-            numerics.lowest_symmetric_eigvals(a, 1)
-
-    @pytest.mark.parametrize("count", [0, -1, 4])
-    def test_count_out_of_range(self, count):
-        with pytest.raises(ValueError, match="count must be in 1 ... 3"):
-            numerics.lowest_symmetric_eigvals(np.eye(3), count)
-
-    @pytest.mark.parametrize("found, info", [(1, 0), (3, 2), (0, -4)])
-    def test_lapack_failure_is_a_linalg_error(self, monkeypatch, found, info):
-        class FailingLapack:
-            @staticmethod
-            def dsyevr(a, **kwargs):
-                return np.zeros(len(a)), None, found, None, info
-
-        monkeypatch.setattr(numerics, "_lapack", FailingLapack)
-        with pytest.raises(np.linalg.LinAlgError,
-                           match=f"info={info}, {found} of 3 eigenvalues"):
-            numerics.lowest_symmetric_eigvals(np.eye(3), 3)
+        # a real matrix raises in real arithmetic what it raises made complex
+        messages = set()
+        for b in (both_arithmetics(a) if np.isrealobj(a) else (a,)):
+            with pytest.raises(error) as err:
+                numerics.hermitian_eig(b)
+            messages.add((type(err.value), str(err.value)))
+        assert len(messages) == 1
 
 
 def test_matrices_must_be_square():
