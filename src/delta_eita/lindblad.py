@@ -13,6 +13,11 @@ j*3 + i, so vec(A rho B) = (B^T kron A) vec(rho) and
 
     L = -i (I kron H - H^T kron I) + sum gamma * D-superoperators.
 
+The diagonal of H enters L only on its diagonal, as -i (h_bb - h_aa) at
+3a + b, so the generators of a sweep block are one template, the
+:func:`build_liouvillian` of H with a zero diagonal, each with that term
+added to the template's diagonal.
+
 The equation is linear with a constant generator, so the steady state is
 the unit-trace kernel vector of L and time evolution is the exact
 propagator exp(L t).  One function, :func:`_steady_states`, solves for
@@ -20,7 +25,9 @@ steady states, in one generator array for a block of generators that
 differ only on their diagonal: :func:`steady_state` is its one-member
 case and :func:`steady_state_block` a sweep block.  :func:`propagate`
 forms exp(L t) for every sample time in one stacked
-:func:`numerics.expm` and validates the states in one batch.
+:func:`numerics.expm` and validates the states in one batch.  Both read
+their states out of the ``(m, 9)`` solution stack with
+:func:`devectorize`.
 """
 
 from __future__ import annotations
@@ -80,11 +87,16 @@ def vectorize(rho) -> np.ndarray:
 
 
 def devectorize(v) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    v = numerics.as_complex_vector(v)
-    if v.shape != (DIM * DIM,):
+    """Inverse of :func:`vectorize`: a 9-vector to a 3x3 matrix, or each row
+    of an ``(m, 9)`` stack to a member of an ``(m, 3, 3)`` stack."""
+    v = np.asarray(v, dtype=complex)
+    if v.ndim not in (1, 2):
+        raise DimensionMismatch(f"expected a vector, got ndim={v.ndim}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector entries must be finite")
+    if v.shape[-1] != DIM * DIM:
         raise DimensionMismatch(f"expected length {DIM * DIM}, got {v.shape}")
-    return v.reshape((DIM, DIM), order="F")
+    return np.swapaxes(v.reshape(v.shape[:-1] + (DIM, DIM)), -1, -2)
 
 
 def dissipator_superop(c) -> np.ndarray:
@@ -110,17 +122,6 @@ _DPHI2 = dissipator_superop(SIGMA22)
 _DPHI3 = dissipator_superop(SIGMA33)
 
 
-def _rate_terms(dec: Decoherence) -> list[np.ndarray]:
-    """The dissipator superoperators of ``dec``, in the order the
-    generator adds them: the decay sum, then each nonzero dephasing."""
-    terms = [dec.gamma12 * _D12 + dec.gamma13 * _D13 + dec.gamma23 * _D23]
-    if dec.gphi2 > 0.0:
-        terms.append(dec.gphi2 * _DPHI2)
-    if dec.gphi3 > 0.0:
-        terms.append(dec.gphi3 * _DPHI3)
-    return terms
-
-
 def build_liouvillian(h, dec: Decoherence) -> np.ndarray:
     """Assemble the 9x9 generator for Hamiltonian ``h`` and rates ``dec``.
 
@@ -139,8 +140,11 @@ def build_liouvillian(h, dec: Decoherence) -> np.ndarray:
     # rates near 1e308 overflow in the sums: reported below, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
         lv = -1j * (np.kron(_IDENTITY, h) - np.kron(h.T, _IDENTITY))
-        for term in _rate_terms(dec):
-            lv += term
+        lv += dec.gamma12 * _D12 + dec.gamma13 * _D13 + dec.gamma23 * _D23
+        if dec.gphi2 > 0.0:
+            lv += dec.gphi2 * _DPHI2
+        if dec.gphi3 > 0.0:
+            lv += dec.gphi3 * _DPHI3
     if not np.all(np.isfinite(lv)):
         raise InvariantViolation("Liouvillian is not finite: rates or drives overflow")
     return lv
@@ -154,25 +158,22 @@ _DIAG_A, _DIAG_B = np.divmod(_DIAG, DIM)
 def _template_and_diagonals(h, diagonals, dec: Decoherence):
     """The generators of ``h`` with its diagonal replaced by each row of the
     real ``(m, 3)`` array ``diagonals``, as the template ``build_liouvillian``
-    of ``h`` with a zero diagonal and the ``(m, 9)`` diagonals of L.
+    of ``h`` with a zero diagonal and the ``(m, 9)`` diagonals of L: the
+    template's own diagonal plus -i (h_bb - h_aa) at 3a + b.
 
     Written out as :func:`_steady_states` writes them, each member is bit
     for bit ``build_liouvillian`` of its own Hamiltonian, and an
-    overflowing member raises as that would.  L reads the diagonal of H
-    by value only on its own diagonal, -i (h_bb - h_aa) at 3a + b;
-    elsewhere only through products 0 * h_aa, zeros whose sign the decay
-    sum drops by adding +0 or a positive rate to every off-diagonal
-    entry.  So each member is the template with its 9 diagonal entries
-    written by that function's operations.
+    overflowing member raises as that would.  Off its diagonal, L reads
+    the diagonal of H only through products 0 * h_aa, zeros whose sign
+    the decay sum drops by adding +0 or a positive rate to every
+    off-diagonal entry.
     """
     h = numerics.as_complex_matrix(h).copy()
     np.fill_diagonal(h, 0.0)
-    hd = np.asarray(diagonals, dtype=float).astype(complex)
+    hd = np.asarray(diagonals, dtype=float)
     template = build_liouvillian(h, dec)
     with np.errstate(over="ignore", invalid="ignore"):
-        diag = -1j * (hd[:, _DIAG_B] - hd[:, _DIAG_A])
-        for term in _rate_terms(dec):
-            diag += term.diagonal()
+        diag = template.diagonal() - 1j * (hd[:, _DIAG_B] - hd[:, _DIAG_A])
     if not np.all(np.isfinite(diag)):
         raise InvariantViolation("Liouvillian is not finite: rates or drives overflow")
     return template, diag
@@ -285,8 +286,7 @@ def _steady_states(template, diag) -> np.ndarray:
         raise DegenerateSteadyState(
             f"steady-state residual {residual[k]:.3e} exceeds "
             f"{STEADY_STATE_RESIDUAL:.0e} (nullity > 1?)")
-    # column stacking, as in devectorize, for every member at once
-    return validate_density_matrix(np.swapaxes(x.reshape(-1, DIM, DIM), -1, -2))
+    return validate_density_matrix(devectorize(x))
 
 
 def steady_state(lv) -> np.ndarray:
@@ -348,9 +348,7 @@ def propagate(lv, rho0, times) -> np.ndarray:
     if np.any(overflow):
         raise InvariantViolation(
             f"propagator exp(L t) is not finite at t={times[np.argmax(overflow)]:g}")
-    v = props @ vectorize(rho0)
-    # column stacking, as in devectorize, for every state at once
-    rho = np.swapaxes(v.reshape(-1, DIM, DIM), -1, -2)
+    rho = devectorize(props @ vectorize(rho0))
     rho = 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
     return validate_density_matrix(
         rho, trace_tol=EVOLVE_TRACE_TOL, eig_floor=EVOLVE_EIGENVALUE_FLOOR)
@@ -368,9 +366,7 @@ def maximally_mixed() -> np.ndarray:
 
 def ground_state() -> np.ndarray:
     """The pure state |1><1|."""
-    rho = np.zeros((DIM, DIM), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
+    return _unit(0, 0)
 
 
 def level_projector(level: int) -> np.ndarray:

@@ -55,16 +55,6 @@ def as_complex_matrix(a, stack: bool = False) -> np.ndarray:
     return _square_matrix(a, complex, stack)
 
 
-def as_complex_vector(b) -> np.ndarray:
-    """Coerce ``b`` to a 1-d complex array, enforcing finiteness."""
-    v = np.asarray(b, dtype=complex)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"expected a vector, got ndim={v.ndim}")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-        raise ValueError("vector entries must be finite")
-    return v
-
-
 def scale_complex(z, c: complex):
     """``z * c`` for a scalar or array ``z`` and a scalar ``c``, from real
     and imaginary parts: each element rounds like the scalar product, bit

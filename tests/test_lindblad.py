@@ -81,6 +81,28 @@ class TestVectorization:
         rho = random_density(rng)
         np.testing.assert_array_equal(devectorize(vectorize(rho)), rho)
 
+    def test_stack_rows_devectorize_alone(self, rng):
+        # an (m, 9) stack is devectorized row by row, bit for bit, and a bad
+        # shape or entry raises with the type and message of a single vector
+        stack = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
+        stack[1] = -0.0
+        got = devectorize(stack)
+        assert got.shape == (6, 3, 3)
+        for row, member in zip(stack, got):
+            assert member.tobytes() == devectorize(row).tobytes()
+        entry = np.arange(9) == 4
+        for bad, error, message in [
+            (np.zeros(8), DimensionMismatch, "expected length 9, got (8,)"),
+            (np.zeros((6, 8)), DimensionMismatch, "expected length 9, got (6, 8)"),
+            (np.zeros((2, 3, 3)), DimensionMismatch, "expected a vector, got ndim=3"),
+            (np.where(entry, np.nan, stack[0]), ValueError, "vector entries must be finite"),
+            (np.where(entry, complex(0.0, np.inf), stack), ValueError,
+             "vector entries must be finite"),
+        ]:
+            with pytest.raises(error) as raised:
+                devectorize(bad)
+            assert str(raised.value) == message
+
 
 class TestDissipator:
     def test_zero_operator(self):
@@ -465,10 +487,9 @@ class TestValidateDensityMatrix:
             validate_density_matrix(rho)
 
 
-def test_evolve_uses_default_step(stock_drives, stock_dec):
+def test_evolved_state_is_valid(stock_drives, stock_dec):
     lv = build_liouvillian(rotating_hamiltonian(stock_drives), stock_dec)
-    rho = evolve(lv, level_projector(3), 0.2)   # exact propagator, no step to choose
-    validate_density_matrix(rho)
+    validate_density_matrix(evolve(lv, level_projector(3), 0.2))
 
 
 class TestRandomizedRobustness:
