@@ -7,6 +7,7 @@ error, 4 resolution/window error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -181,7 +182,9 @@ def run(cfg: RunConfig) -> int:
     raise ValidationError(f"unhandled mode {cfg.mode!r}")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="delta-eita",
         description="Steady-state and time-domain simulator for a loop-driven "
@@ -195,7 +198,11 @@ def main(argv=None) -> int:
                         help="override the [atom] units flag")
     parser.add_argument("--dump-config", action="store_true",
                         help="print the normalized config and exit")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")

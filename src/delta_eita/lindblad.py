@@ -238,7 +238,8 @@ def validate_density_matrix(rho, trace_tol: float = DENSITY_TRACE_TOL,
     members = sym.reshape(-1, DIM, DIM)
     uncertain = ~_cholesky_clears(members, eig_floor)
     lowest = np.full(len(members), np.inf)
-    lowest[uncertain] = np.min(np.linalg.eigvalsh(members[uncertain]), axis=-1)
+    if np.any(uncertain):
+        lowest[uncertain] = np.min(np.linalg.eigvalsh(members[uncertain]), axis=-1)
     failed = (asym > DENSITY_HERMITICITY_TOL) | (drift > trace_tol) | (lowest < eig_floor)
     if np.any(failed):
         k = int(np.argmax(failed))
@@ -260,6 +261,11 @@ def _steady_states(template, diag) -> np.ndarray:
     and row 0 of each L, linearly dependent on rows 4 and 8 through
     trace preservation, is replaced there by the trace row:
     :func:`numerics.solve_in_place` solves those systems where they lie.
+    Off their diagonals the members share the template and the trace
+    row, so each member's largest |entry|, against which the solve gates
+    its pivots, is the larger of one maximum over those shared entries
+    and the member's largest |diagonal entry|, with no pass over |.| of
+    the whole array.
     The generators are then written over the factors, now as L, for the
     residuals ||L vec(rho)||_inf.  A singular solve, then a residual
     above ``STEADY_STATE_RESIDUAL``, raises DegenerateSteadyState with
@@ -271,9 +277,14 @@ def _steady_states(template, diag) -> np.ndarray:
     lv[:, _DIAG, _DIAG] = diag
     a = lv.transpose(0, 2, 1)
     a[:, 0, :] = _TRACE_ROW
+    shared = template.copy()
+    shared[0] = _TRACE_ROW
+    shared[_DIAG, _DIAG] = 0.0
+    scale = np.maximum(np.max(np.abs(shared)),
+                       np.max(np.abs(np.diagonal(a, axis1=-2, axis2=-1)), axis=-1))
     x = np.repeat(_UNIT_TRACE[None], len(a), axis=0)
     try:
-        numerics.solve_in_place(a, x)
+        numerics.solve_in_place(a, x, scale)
     except SingularMatrix as exc:
         raise DegenerateSteadyState(f"singular steady-state solve: {exc}") from exc
     lv[...] = template

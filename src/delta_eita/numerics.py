@@ -6,9 +6,9 @@ Hermitian eigendecomposition.  Matrices are plain ``numpy.ndarray`` of
 complex128, except that the eigendecomposition keeps a real symmetric
 matrix real; the validation helpers enforce the finite-entries contract
 at the boundary.  The solve takes a stack ``(m, n, n)`` of column-major
-members, which its caller lays out, and the exponential a matrix or a
-stack; each member's result is bit for bit the one it gets alone.  The
-exponential and the eigendecomposition are numpy alone; the solve (and
+members, which its caller lays out with each member's largest |entry|,
+and the exponential a matrix or a stack; each member's result is bit
+for bit the one it gets alone.  The exponential and the eigendecomposition are numpy alone; the solve (and
 the tridiagonal eigensolve of ``verify``'s fluxonium oracle) load
 scipy's LAPACK wrappers from their file but never import scipy.
 """
@@ -83,10 +83,12 @@ def _lapack():
     return module
 
 
-def solve_in_place(a: np.ndarray, x: np.ndarray) -> None:
+def solve_in_place(a: np.ndarray, x: np.ndarray, scale: np.ndarray) -> None:
     """Solve ``a[k] @ y = x[k]`` for each member of the stack ``a``
     ``(m, n, n)``, in place: ``x`` ``(m, n)`` holds the right-hand sides
-    and receives the solutions, and ``a`` the LU factors.
+    and receives the solutions, and ``a`` the LU factors.  ``scale``
+    ``(m,)`` holds each member's largest |entry|, ``np.max(np.abs(a),
+    axis=(-2, -1))``, which the caller may know without that pass.
 
     Both are complex128; each member of ``a`` is column-major and ``x``
     C-contiguous (ValueError otherwise), so that one ``zgesv`` call per
@@ -98,7 +100,7 @@ def solve_in_place(a: np.ndarray, x: np.ndarray) -> None:
     differently).
 
     Raises SingularMatrix when a member's smallest pivot falls below
-    ``SINGULARITY_THRESHOLD`` relative to its largest entry, once every
+    ``SINGULARITY_THRESHOLD`` relative to its ``scale``, once every
     member is solved.  The message is that of the first such member, as
     if solved alone.
     """
@@ -107,7 +109,8 @@ def solve_in_place(a: np.ndarray, x: np.ndarray) -> None:
             or not np.swapaxes(a, -1, -2).flags.c_contiguous or not x.flags.c_contiguous):
         raise ValueError("solve_in_place needs column-major (m, n, n) and "
                          "contiguous (m, n) complex arrays")
-    scale = np.max(np.abs(a), axis=(-2, -1))
+    if np.shape(scale) != a.shape[:1]:
+        raise ValueError(f"solve_in_place needs one scale per member, got {np.shape(scale)}")
     gesv = _lapack().zgesv
     # an exactly zero pivot (info > 0) is left to the gate below;
     # overwrite_a and overwrite_b go by position: as keywords they cost

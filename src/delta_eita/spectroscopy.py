@@ -50,10 +50,10 @@ KK_ENDPOINT_FRACTION = 0.05
 
 #: Probe detunings solved together as one stack in a sweep.  The block
 #: bounds the one (block, 9, 9) complex generator array a block is solved
-#: and checked in (1.3 MB at 1024), which with |.| of it for the pivot
-#: gate is a sweep's traced peak, ~1.8-2.0 arrays.  Re-measured in the
-#: warm benchmark op mix (three interleaved rounds of 8 passes, op times
-#: scaled by the host-speed kernel, one BLAS thread, 2-vCPU host), blocks
+#: and checked in (1.3 MB at 1024), most of a sweep's traced peak of
+#: ~1.6-1.9 such arrays.  Re-measured in the warm benchmark op mix (three
+#: interleaved rounds of 8 passes, op times scaled by the host-speed
+#: kernel, one BLAS thread, 2-vCPU host), blocks
 #: of 512 / 1024 / 2048 / 4001 points took 43.2 / 40.7 / 39.9 / 39.8 ms
 #: per 4001-point KK op and 33.3 / 31.3 / 30.0 / 31.9 ms per 4 x 801-point
 #: phase sweep, with 385 / 371 / 394 / 463 and 32 / 129 / 26 / 26 fresh

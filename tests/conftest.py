@@ -29,7 +29,7 @@ def _solve(a, b):
     stack = a.reshape((-1,) + a.shape[-2:])
     lu = np.swapaxes(np.swapaxes(stack, -1, -2).copy(), -1, -2)
     x = np.repeat(np.asarray(b, dtype=complex)[None], len(lu), axis=0)
-    numerics.solve_in_place(lu, x)
+    numerics.solve_in_place(lu, x, np.max(np.abs(lu), axis=(-2, -1)))
     return x.reshape(a.shape[:-1])
 
 

@@ -40,9 +40,11 @@ def neighbourhood(x, steps=64):
 
 
 #: Where orjson's notation could part from ``repr``'s: around the edges
-#: 1e-4 and 1e16 of the range both write in positional notation, and
-#: around 1e-7 and 1e15 inside and outside it.
-EDGES = np.concatenate([neighbourhood(x) for x in (1e-7, 1e-4, 1e15, 1e16)])
+#: 1e-4 and 1e16 of the range both write in positional notation, around
+#: 1e-7 and 1e15 inside and outside it, around 1e-5, where orjson's
+#: positional notation ends, and where the exponent gains a digit.
+EDGES = np.concatenate([neighbourhood(x) for x in
+                        (1e-100, 1e-10, 1e-7, 1e-5, 1e-4, 1e15, 1e16, 1e100)])
 
 FLOATS = st.one_of(
     st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True),
@@ -82,7 +84,8 @@ def test_zero_rows_write_only_preamble_and_header(tmp_path):
 
 def test_every_kind_of_cell(tmp_path):
     column = [0.0, -0.0, 1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0,
-              1e-7, 5e-324, -1e300, np.nan, np.inf, -np.inf, 0.1, -123456.789]
+              1e-7, 5e-324, -1e300, np.nan, np.inf, -np.inf, 0.1, -123456.789,
+              1e-05, 5e-06, -5e-06, 1e+16, -2.5e-05, 1.5e-10, 3e+100]
     assert_same_bytes(tmp_path, ("x",), (column,))
     assert_same_bytes(tmp_path, [f"c{k}" for k in range(len(column))],
                       [[x] for x in column])
@@ -108,6 +111,18 @@ def test_same_bytes_as_repr_on_random_bit_patterns(tmp_path_factory, seed, rows,
                                                 dtype=np.uint64, endpoint=False)
     tmp_path = tmp_path_factory.mktemp("csv")
     assert_same_bytes(tmp_path, [f"c{k}" for k in range(cols)], list(bits.view(np.float64)))
+
+
+def test_stock_kramers_kronig_sweep(tmp_path, stock_drives, stock_dec):
+    # thousands of tiny populations per CSV, where a shipped config has
+    # at most one cell outside orjson's range
+    table = spectroscopy.sweep_detuning(stock_drives, stock_dec,
+                                        spectroscopy.kramers_kronig_grid())
+    columns = [table.detunings, table.dispersion, table.absorption,
+               *table.populations.T, table.inversions]
+    magnitude = np.abs(np.column_stack(columns))
+    assert np.count_nonzero((magnitude > 0.0) & (magnitude < 1e-4)) > 1000
+    assert_same_bytes(tmp_path, [f"c{k}" for k in range(len(columns))], columns)
 
 
 #: Every shipped config in its own mode, and the stock config in evolve mode.

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from delta_eita import (
     Decoherence,
@@ -176,18 +177,28 @@ def liouvillian_block(h, diagonals, dec):
     return lv
 
 
+# zero magnitudes with these phases give h entries with -0 parts; strong
+# drives put the largest |entry| of a trace-row system off its diagonal
+BLOCK_DRIVES = pytest.mark.parametrize("drives", [
+    DriveSet(Drive(0.2), Drive(0.2), Drive(1.0)),
+    DriveSet(Drive(0.0, 5.5), Drive(0.3, 0.7), Drive(0.0, 2.0, 0.3)),
+    DriveSet(Drive(0.0), Drive(0.0, 4.0), Drive(0.0)),
+    DriveSet(Drive(4.0, 0.3), Drive(0.5), Drive(7.0, 1.1, 0.2)),
+], ids=["stock", "signed-zeros", "undriven", "strong"])
+BLOCK_RATES = pytest.mark.parametrize("dec", [
+    Decoherence(gamma12=0.1, gamma13=1.0, gamma23=0.1),
+    Decoherence(gamma12=0.0, gamma13=1.0, gamma23=0.0, gphi2=0.05, gphi3=0.2),
+    Decoherence(gamma12=5e-324, gamma13=0.0, gamma23=0.3, gphi3=1e-300),
+], ids=["decay", "dephasing", "tiny-rates"])
+
+
+class _Stop(Exception):
+    pass
+
+
 class TestLiouvillianBlock:
-    # zero magnitudes with these phases give h entries with -0 parts
-    @pytest.mark.parametrize("drives", [
-        DriveSet(Drive(0.2), Drive(0.2), Drive(1.0)),
-        DriveSet(Drive(0.0, 5.5), Drive(0.3, 0.7), Drive(0.0, 2.0, 0.3)),
-        DriveSet(Drive(0.0), Drive(0.0, 4.0), Drive(0.0)),
-    ], ids=["stock", "signed-zeros", "undriven"])
-    @pytest.mark.parametrize("dec", [
-        Decoherence(gamma12=0.1, gamma13=1.0, gamma23=0.1),
-        Decoherence(gamma12=0.0, gamma13=1.0, gamma23=0.0, gphi2=0.05, gphi3=0.2),
-        Decoherence(gamma12=5e-324, gamma13=0.0, gamma23=0.3, gphi3=1e-300),
-    ], ids=["decay", "dephasing", "tiny-rates"])
+    @BLOCK_DRIVES
+    @BLOCK_RATES
     def test_members_are_single_builds(self, rng, drives, dec):
         h = rotating_hamiltonian(drives)
         diagonals = rng.normal(size=(60, 3))
@@ -198,6 +209,30 @@ class TestLiouvillianBlock:
         for d, member in zip(diagonals, lv):
             np.fill_diagonal(h, d)
             assert member.tobytes() == build_liouvillian(h, dec).tobytes()
+
+    @BLOCK_DRIVES
+    @BLOCK_RATES
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 8), st.just(3)),
+                  elements=st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
+                                            0.3, -2.5, 1e-3])))
+    def test_pivot_scale_is_the_largest_entry(self, drives, dec, diagonals):
+        # the scale taken from the template and each member's diagonal is
+        # the largest |entry| of the member's trace-row system, bit for bit
+        assume(not np.any(np.any(diagonals == 1e308, axis=1)
+                          & np.any(diagonals == -1e308, axis=1)))
+        scales = []
+
+        def spy(a, x, scale):
+            scales.append((np.max(np.abs(a), axis=(-2, -1)), scale))
+            raise _Stop
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lindblad.numerics, "solve_in_place", spy)
+            with pytest.raises(_Stop):
+                lindblad.steady_state_block(rotating_hamiltonian(drives), diagonals, dec)
+        ((full, scale),) = scales
+        assert scale.tobytes() == full.tobytes()
 
     def test_overflowing_member_raises_as_alone(self, stock_drives, stock_dec):
         h = rotating_hamiltonian(stock_drives)

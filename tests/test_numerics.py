@@ -30,9 +30,9 @@ def stock_sweep_systems():
     systems = []
     solve = numerics.solve_in_place
 
-    def spy(a, x):
+    def spy(a, x, scale):
         stack, rhs = np.array(a), x.copy()
-        solve(a, x)
+        solve(a, x, scale)
         systems.append((stack, rhs, x.copy()))
 
     with pytest.MonkeyPatch.context() as mp:
@@ -102,10 +102,15 @@ class TestSolveLinear:
         # solve_in_place takes only the layout it solves where it lies
         a = np.swapaxes(random_complex(rng, (2, 3, 3)), -1, -2)
         x = random_complex(rng, (2, 3))
-        for bad in [(a.copy(), x), (a, x[:, :2].copy()), (a, x.T.copy().T),
-                    (a.real.copy(order="F"), x), (a[0], x[0])]:
+        scale = np.max(np.abs(a), axis=(-2, -1))
+        for bad in [(a.copy(), x, scale), (a, x[:, :2].copy(), scale),
+                    (a, x.T.copy().T, scale), (a.real.copy(order="F"), x, scale),
+                    (a[0], x[0], scale[0])]:
             with pytest.raises(ValueError, match="^solve_in_place needs column-major"):
                 numerics.solve_in_place(*bad)
+        for bad in (scale[:1], scale[0]):
+            with pytest.raises(ValueError, match=r"^solve_in_place needs one scale per member"):
+                numerics.solve_in_place(a, x, bad)
         # steady_state takes one 9x9 Liouvillian
         for lv in (np.eye(3), np.ones((9, 8)), np.ones(9)):
             with pytest.raises(DimensionMismatch):
@@ -187,7 +192,7 @@ rng = np.random.default_rng(7)
 # the transposed view of a C-ordered stack: column-major members
 stack = np.swapaxes(rng.normal(size=(200, 9, 9)) + 1j * rng.normal(size=(200, 9, 9)), 1, 2)
 x = np.repeat(rng.normal(size=(1, 9)).astype(complex), 200, axis=0)
-numerics.solve_in_place(stack, x)
+numerics.solve_in_place(stack, x, np.max(np.abs(stack), axis=(-2, -1)))
 digest = hashlib.sha256(x.tobytes())
 digest.update(sweep_detuning(cfg.drives, cfg.dec, cfg.grid()).rho31.tobytes())
 point = cfg.drives.with_probe_detuning(0.3)
@@ -220,9 +225,9 @@ from delta_eita.config import parse_config
 cfg = parse_config(open({str(CONFIG_DIR / "eita.ini")!r}, encoding="utf-8").read())
 solved, solve = [], numerics.solve_in_place
 
-def spy(a, x):
+def spy(a, x, scale):
     stack, rhs = np.array(a), x.copy()
-    solve(a, x)
+    solve(a, x, scale)
     solved.append((stack, rhs, x))
 
 numerics.solve_in_place = spy

@@ -454,10 +454,11 @@ class TestStackedSweep:
     @pytest.mark.parametrize("grid", [np.linspace(-4.0, 4.0, 801), kramers_kronig_grid()],
                              ids=["801", "4001"])
     def test_traced_peak_stays_below_two_and_a_half_stacks(self, stock_drives, stock_dec, grid):
-        # one (block, 9, 9) generator array solved in place, plus |.| of it
-        # for the pivot gate, and the residuals taken on the generators
-        # written back into it; a generator stack and its two copies alive
-        # at once peaked at 3.65 (801 points) and 3.91 (4001) such stacks
+        # one (block, 9, 9) generator array solved in place, and the
+        # residuals taken on the generators written back into it, peak at
+        # 1.61 (801 points) and 1.91 (4001) such stacks; with |.| of it for
+        # the pivot gate they peaked at 1.75 and 2.05, and with a generator
+        # stack and its two copies alive at once at 3.65 and 3.91
         sweep_detuning(stock_drives, stock_dec, grid)
         tracemalloc.start()
         try:
