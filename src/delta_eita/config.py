@@ -1,8 +1,10 @@
 """Strict INI-style run configuration.
 
-``_SCHEMA`` is the one list of sections and keys, each with its type and
-default; any other section or key is a ParseError.  ``[drives.d12]
-detuning`` is listed only to be refused: delta12 is derived.
+``_SCHEMA`` is the one list of sections and keys, each with its type, its
+default and the RunConfig field that holds its value; any other section or
+key is a ParseError, and ``dump_config`` writes the keys back from their
+fields.  ``[drives.d12] detuning`` is listed only to be refused: delta12 is
+derived, so it has no field.
 
 ``units = gamma13`` (default) keeps all atom-section rates, drive
 magnitudes and detunings as given; ``units = MHz`` reads them as
@@ -13,6 +15,7 @@ are always GHz.
 from __future__ import annotations
 
 import configparser
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +25,10 @@ from .errors import ParseError, ValidationError
 from .fluxonium import EXAMPLE_EC, EXAMPLE_EJ, EXAMPLE_EL, FluxoniumParams
 
 MODES = ("steady", "sweep", "phase-sweep", "evolve", "fluxonium", "reflect", "verify")
+#: The modes whose grid must hold 2 or more points over a finite span lo < hi,
+#: and the modes that need [atom] and all three [drives.*] sections.
+GRID_MODES = ("sweep", "phase-sweep", "fluxonium", "reflect")
+DRIVEN_MODES = ("steady", "sweep", "phase-sweep", "evolve", "reflect")
 UNITS = ("gamma13", "MHz")
 INITIAL_STATES = ("ground", "mixed", "excited")
 
@@ -39,27 +46,42 @@ def _floats(raw: str) -> tuple[float, ...]:
 
 _KINDS = {float: "a number", int: "an integer", _bool: "a boolean", _floats: "a float list"}
 
-_DRIVE = {"magnitude": (float, 0.0), "phase": (float, 0.0), "detuning": (float, 0.0)}
+#: How ``dump_config`` spells a value, by its key's converter.
+_SPELLINGS = {float: repr, int: str, str.strip: str, _bool: lambda flag: str(flag).lower(),
+              _floats: lambda values: ",".join(map(repr, values))}
 
-#: section -> key -> (converter, default); a key's value is
-#: ``converter(raw)``, or the default when the key is absent.
+
+def _drive(name: str) -> dict:
+    """The keys of ``[drives.<name>]``; delta12 is derived, so ``[drives.d12]
+    detuning`` fills no field."""
+    return {key: (float, 0.0, None if (name, key) == ("d12", "detuning") else
+                  f"drives.{name}.{key}") for key in ("magnitude", "phase", "detuning")}
+
+
+#: section -> key -> (converter, default, field); a key's value is
+#: ``converter(raw)``, or the default when the key is absent, and ``field``
+#: is the dotted RunConfig attribute that holds it in internal units.
 _SCHEMA = {
-    "run": {"mode": (str.strip, None)},
-    "atom": {"units": (str.strip, "gamma13"), "gamma12": (float, 0.0),
-             "gamma13": (float, 0.0), "gamma23": (float, 0.0), "gphi2": (float, 0.0),
-             "gphi3": (float, 0.0)},
-    "drives.d12": _DRIVE,
-    "drives.d13": _DRIVE,
-    "drives.d23": _DRIVE,
-    "sweep": {"lo": (float, -4.0), "hi": (float, 4.0), "points": (int, 801),
-              "phases": (_floats, (0.0, np.pi / 2, np.pi, 3 * np.pi / 2))},
-    "evolve": {"t": (float, 10.0), "initial": (str.strip, "ground")},
-    "fluxonium": {"ej": (float, EXAMPLE_EJ), "ec": (float, EXAMPLE_EC),
-                  "el": (float, EXAMPLE_EL), "basis_size": (int, FluxoniumParams.basis_size),
-                  "gamma_ref_mhz": (float, None)},
-    "reflect": {"a_in_re": (float, 1.0), "a_in_im": (float, 0.0),
-                "tie_probe_to_input": (_bool, False)},
-    "output": {"dir": (str.strip, "out"), "basename": (str.strip, "")},
+    "run": {"mode": (str.strip, None, "mode")},
+    "atom": {"units": (str.strip, "gamma13", "units"), "gamma12": (float, 0.0, "dec.gamma12"),
+             "gamma13": (float, 0.0, "dec.gamma13"), "gamma23": (float, 0.0, "dec.gamma23"),
+             "gphi2": (float, 0.0, "dec.gphi2"), "gphi3": (float, 0.0, "dec.gphi3")},
+    "drives.d12": _drive("d12"),
+    "drives.d13": _drive("d13"),
+    "drives.d23": _drive("d23"),
+    "sweep": {"lo": (float, -4.0, "grid_lo"), "hi": (float, 4.0, "grid_hi"),
+              "points": (int, 801, "grid_points"),
+              "phases": (_floats, (0.0, np.pi / 2, np.pi, 3 * np.pi / 2), "phases")},
+    "evolve": {"t": (float, 10.0, "evolve_t"),
+               "initial": (str.strip, "ground", "evolve_initial")},
+    "fluxonium": {"ej": (float, EXAMPLE_EJ, "fluxonium.ej"),
+                  "ec": (float, EXAMPLE_EC, "fluxonium.ec"),
+                  "el": (float, EXAMPLE_EL, "fluxonium.el"),
+                  "basis_size": (int, FluxoniumParams.basis_size, "fluxonium.basis_size"),
+                  "gamma_ref_mhz": (float, None, "gamma_ref_mhz")},
+    "reflect": {"a_in_re": (float, 1.0, "a_in.real"), "a_in_im": (float, 0.0, "a_in.imag"),
+                "tie_probe_to_input": (_bool, False, "tie_probe_to_input")},
+    "output": {"dir": (str.strip, "out", "out_dir"), "basename": (str.strip, "", "basename")},
 }
 
 #: Upper bounds on the two sizes a config sets, each keeping a run under
@@ -101,7 +123,7 @@ class RunConfig:
 
 def _value(parser: configparser.ConfigParser, section: str, key: str):
     """The typed value of ``[section] key``, or its default when absent."""
-    convert, default = _SCHEMA[section][key]
+    convert, default, _ = _SCHEMA[section][key]
     if not parser.has_option(section, key):
         return default
     raw = parser.get(section, key)
@@ -138,8 +160,7 @@ def parse_config(text: str, units: str | None = None, mode: str | None = None,
             if key not in _SCHEMA[section]:
                 raise ParseError(f"unknown key {key!r} in section [{section}]")
 
-    def get(section, key):
-        return _value(parser, section, key)
+    get = functools.partial(_value, parser)
 
     if mode is None:
         mode = get("run", "mode")
@@ -159,11 +180,10 @@ def parse_config(text: str, units: str | None = None, mode: str | None = None,
             "delta12 is derived from delta13 - delta23, not settable "
             "([drives.d12] detuning)")
 
-    drives = None
-    dec = None
+    drives = dec = None
     driven = all(parser.has_section(name)
                  for name in ("atom", "drives.d12", "drives.d13", "drives.d23"))
-    if mode in ("steady", "sweep", "phase-sweep", "evolve", "reflect") and not driven:
+    if mode in DRIVEN_MODES and not driven:
         raise ValidationError(f"mode {mode!r} needs [atom] and all three [drives.*] sections")
     if driven:
         dec = Decoherence(**{rate: scale * get("atom", rate)
@@ -176,7 +196,7 @@ def parse_config(text: str, units: str | None = None, mode: str | None = None,
     grid_lo = get("sweep", "lo")
     grid_hi = get("sweep", "hi")
     grid_points = get("sweep", "points")
-    if mode in ("sweep", "phase-sweep", "fluxonium", "reflect"):
+    if mode in GRID_MODES:
         if grid_points < 2:
             raise ValidationError(f"sweep needs points >= 2, got {grid_points}")
         if grid_points > MAX_GRID_POINTS:
@@ -188,8 +208,7 @@ def parse_config(text: str, units: str | None = None, mode: str | None = None,
         # detuning grid shares the atom units; a fluxonium grid is flux
         grid_lo *= scale
         grid_hi *= scale
-    if mode in ("sweep", "phase-sweep", "fluxonium", "reflect") and \
-            not np.isfinite(grid_hi - grid_lo):
+    if mode in GRID_MODES and not np.isfinite(grid_hi - grid_lo):
         raise ValidationError(f"sweep span hi - lo is not finite for [{grid_lo}, {grid_hi}]")
 
     phases = get("sweep", "phases")
@@ -218,9 +237,6 @@ def parse_config(text: str, units: str | None = None, mode: str | None = None,
     if gamma_ref_mhz is not None and gamma_ref_mhz <= 0.0:
         raise ValidationError(f"gamma_ref_mhz must be > 0, got {gamma_ref_mhz}")
 
-    a_in = complex(get("reflect", "a_in_re"), get("reflect", "a_in_im"))
-    tie = get("reflect", "tie_probe_to_input")
-
     return RunConfig(
         mode=mode,
         units=units,
@@ -234,51 +250,37 @@ def parse_config(text: str, units: str | None = None, mode: str | None = None,
         evolve_initial=evolve_initial,
         fluxonium=fluxonium,
         gamma_ref_mhz=gamma_ref_mhz,
-        a_in=a_in,
-        tie_probe_to_input=tie,
+        a_in=complex(get("reflect", "a_in_re"), get("reflect", "a_in_im")),
+        tie_probe_to_input=get("reflect", "tie_probe_to_input"),
         out_dir=get("output", "dir") if out_dir is None else out_dir,
         basename=get("output", "basename"),
     )
 
 
 def dump_config(cfg: RunConfig) -> str:
-    """Render a RunConfig back to config text (internal units, so the
-    dump always carries ``units = gamma13``); re-parsing reproduces the
-    same RunConfig, with ``units = "gamma13"``."""
-    lines = ["[run]", f"mode = {cfg.mode}"]
-    if cfg.dec is not None and cfg.drives is not None:
-        lines += [
-            "", "[atom]", "units = gamma13",
-            f"gamma12 = {cfg.dec.gamma12!r}",
-            f"gamma13 = {cfg.dec.gamma13!r}",
-            f"gamma23 = {cfg.dec.gamma23!r}",
-            f"gphi2 = {cfg.dec.gphi2!r}",
-            f"gphi3 = {cfg.dec.gphi3!r}",
-        ]
-        for name in ("d12", "d13", "d23"):
-            drive = getattr(cfg.drives, name)
-            lines += ["", f"[drives.{name}]",
-                      f"magnitude = {drive.magnitude!r}",
-                      f"phase = {drive.phase!r}"]
-            if name != "d12":
-                lines.append(f"detuning = {drive.detuning!r}")
-    lines += ["", "[sweep]",
-              f"lo = {cfg.grid_lo!r}", f"hi = {cfg.grid_hi!r}",
-              f"points = {cfg.grid_points}",
-              "phases = " + ",".join(repr(p) for p in cfg.phases)]
-    lines += ["", "[evolve]", f"t = {cfg.evolve_t!r}",
-              f"initial = {cfg.evolve_initial}"]
-    if cfg.fluxonium is not None:
-        lines += ["", "[fluxonium]",
-                  f"ej = {cfg.fluxonium.ej!r}", f"ec = {cfg.fluxonium.ec!r}",
-                  f"el = {cfg.fluxonium.el!r}",
-                  f"basis_size = {cfg.fluxonium.basis_size}"]
-        if cfg.gamma_ref_mhz is not None:
-            lines.append(f"gamma_ref_mhz = {cfg.gamma_ref_mhz!r}")
-    lines += ["", "[reflect]",
-              f"a_in_re = {cfg.a_in.real!r}", f"a_in_im = {cfg.a_in.imag!r}",
-              f"tie_probe_to_input = {str(cfg.tie_probe_to_input).lower()}"]
-    lines += ["", "[output]", f"dir = {cfg.out_dir}"]
-    if cfg.basename:
-        lines.append(f"basename = {cfg.basename}")
-    return "\n".join(lines) + "\n"
+    """Render a RunConfig back to config text; re-parsing reproduces the
+    same RunConfig, with ``units = "gamma13"``.
+
+    Each ``_SCHEMA`` key is written from its field in schema order, except:
+    ``units`` is always ``gamma13`` (the values are internal); a key
+    without a field, an unset ``gamma_ref_mhz`` and an empty ``basename``
+    are left out; so is a section whose object the config does not hold
+    (``[atom]`` and ``[drives.*]`` without drives, ``[fluxonium]``
+    without a device).
+    """
+    sections = []
+    for section, keys in _SCHEMA.items():
+        lines = [f"[{section}]"]
+        for key, (convert, default, field) in keys.items():
+            if field is None:
+                continue
+            path = field.split(".")
+            if len(path) > 1 and getattr(cfg, path[0]) is None:
+                break
+            value = "gamma13" if field == "units" else functools.reduce(getattr, path, cfg)
+            if value is None or value == default == "":
+                continue
+            lines.append(f"{key} = {_SPELLINGS[convert](value)}")
+        else:
+            sections.append("\n".join(lines))
+    return "\n\n".join(sections) + "\n"

@@ -1,6 +1,7 @@
 import configparser
 import contextlib
 import dataclasses
+import functools
 import io
 import os
 import subprocess
@@ -30,6 +31,8 @@ from delta_eita.config import (
 from delta_eita.fluxonium import write_fluxonium_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+#: ``--dump-config`` of each shipped config, as ``<config>.<units>.ini``.
+DUMP_DIR = Path(__file__).resolve().parent / "dumps"
 
 MINIMAL_EIT = """\
 [run]
@@ -214,9 +217,12 @@ class TestParseConfig:
         assert {(name, key) for name in _SCHEMA for key in _SCHEMA[name]} - keys == {
             ("drives.d12", "detuning")}
         for name, key in keys:
-            convert, default = _SCHEMA[name][key]
+            convert, default, _ = _SCHEMA[name][key]
             assert convert(EVERY_KEY[name][key]) != default, (name, key)
         cfg = parse_config(render(EVERY_KEY))
+        fields = {(name, key): _SCHEMA[name][key][2].split(".") for name, key in keys}
+        assert [k for k, field in sorted(fields.items())
+                if functools.reduce(getattr, field, cfg) is None] == []
         dump = dump_config(cfg)
         # the dump is in internal units, so it re-parses as a gamma13 config
         assert parse_config(dump) == dataclasses.replace(cfg, units="gamma13")
@@ -224,7 +230,8 @@ class TestParseConfig:
         dumped.read_string(dump)
         assert [k for k in sorted(keys) if not dumped.has_option(*k)] == []
         assert dumped.get("atom", "units") == "gamma13"
-        # each key reaches the RunConfig: back at its default, the config differs
+        # each key reaches the RunConfig at its field: back at its default,
+        # the field differs
         for name, key in keys:
             without = {n: {k: v for k, v in kv.items() if (n, k) != (name, key)}
                        for n, kv in EVERY_KEY.items()}
@@ -232,7 +239,9 @@ class TestParseConfig:
                 with pytest.raises(ValidationError, match="missing"):
                     parse_config(render(without))
             else:
-                assert parse_config(render(without)) != cfg, (name, key)
+                field = fields[name, key]
+                assert functools.reduce(getattr, field, parse_config(render(without))) != \
+                    functools.reduce(getattr, field, cfg), (name, key)
 
     def test_minimal_round_trip(self):
         cfg = parse_config(MINIMAL_EIT)
@@ -243,6 +252,15 @@ class TestParseConfig:
     def test_shipped_config_round_trips(self, path):
         cfg = parse_config(path.read_text(encoding="utf-8"))
         assert parse_config(dump_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("units", UNITS)
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.name)
+    def test_shipped_config_dump_bytes(self, path, units, capsys):
+        # a round trip passes whatever the order of sections and keys;
+        # these bytes also pin the order and the spelling of each value
+        assert main(["--config", str(path), "--units", units, "--dump-config"]) == 0
+        expected = (DUMP_DIR / f"{path.stem}.{units}.ini").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
 
     def test_unknown_key_rejected(self):
         bad = MINIMAL_EIT.replace("gamma23 = 0.1", "gamma23 = 0.1\ngama13 = 1.0")
@@ -700,7 +718,7 @@ def schema_configs(draw):
         if section == "output" or not (section in needed or draw(st.booleans())):
             continue
         lines.append(f"[{section}]")
-        for key, (convert, _) in keys.items():
+        for key, (convert, _, _) in keys.items():
             if section == "drives.d12" and key == "detuning":
                 continue  # listed only to be refused
             if key in ALWAYS_SET or draw(st.booleans()):

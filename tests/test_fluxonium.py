@@ -25,6 +25,7 @@ from delta_eita.fluxonium import (
     BASIS_STEP,
     BIAS_TOLERANCE,
     COUPLING_CONVERGENCE,
+    DecayEstimate,
     FluxoniumSpectrum,
     _ladder_ops,
     write_fluxonium_csv,
@@ -492,6 +493,36 @@ class TestDecayScaling:
         for gamma_ref, t_ref in ((0.0, 1.0), (1.0, 0.0), (np.nan, 1.0), (1.0, np.nan)):
             with pytest.raises(ValueError):
                 scale_decay_rates(gamma_ref, t_ref, s)
+
+
+#: Input checks: each call, the exception type it raises and its message.
+INPUT_CHECKS = [
+    pytest.param(lambda: flux_sweep(DEVICE, []), ValidationError,
+                 "flux grid must be a nonempty 1-d sequence", id="flux-sweep-empty-grid"),
+    pytest.param(lambda: flux_sweep(DEVICE, [[0.0, 0.1]]), ValidationError,
+                 "flux grid must be a nonempty 1-d sequence", id="flux-sweep-2d-grid"),
+    pytest.param(lambda: FluxoniumSpectrum(0.0, (0.0, 2.0, 1.0), 0.1, 0.1, 0.1), ValueError,
+                 "levels must be ascending", id="spectrum-descending-levels"),
+    pytest.param(lambda: FluxoniumSpectrum(0.0, (0.0, 1.0, 2.0), -0.1, 0.1, 0.1), ValueError,
+                 "t12 must be >= 0", id="spectrum-negative-t12"),
+    pytest.param(lambda: FluxoniumSpectrum(0.0, (0.0, 1.0, 2.0), 0.1, -0.1, 0.1), ValueError,
+                 "t13 must be >= 0", id="spectrum-negative-t13"),
+    pytest.param(lambda: FluxoniumSpectrum(0.0, (0.0, 1.0, 2.0), 0.1, 0.1, -0.1), ValueError,
+                 "t23 must be >= 0", id="spectrum-negative-t23"),
+    pytest.param(lambda: DecayEstimate(-1.0, 1.0, 1.0), ValueError, "gamma12 must be >= 0",
+                 id="decay-negative-gamma12"),
+    pytest.param(lambda: DecayEstimate(1.0, -1.0, 1.0), ValueError, "gamma13 must be >= 0",
+                 id="decay-negative-gamma13"),
+    pytest.param(lambda: DecayEstimate(1.0, 1.0, -1.0), ValueError, "gamma23 must be >= 0",
+                 id="decay-negative-gamma23"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", INPUT_CHECKS)
+def test_input_check(call, error, message):
+    with pytest.raises(error) as got:
+        call()
+    assert (type(got.value), str(got.value)) == (error, message)
 
 
 def test_flux_sweep_error_carries_flux():

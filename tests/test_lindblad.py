@@ -522,6 +522,38 @@ class TestValidateDensityMatrix:
             validate_density_matrix(rho)
 
 
+#: Input checks: each call, the exception type it raises and its message.
+INPUT_CHECKS = [
+    pytest.param(lambda: vectorize(np.zeros((2, 2))), DimensionMismatch,
+                 "expected 3x3, got (2, 2)", id="vectorize-2x2"),
+    pytest.param(lambda: dissipator_superop(np.zeros((2, 2))), DimensionMismatch,
+                 "expected 3x3 collapse operator, got (2, 2)", id="dissipator-2x2"),
+    pytest.param(lambda: build_liouvillian(np.zeros((2, 2)), Decoherence(0.1, 1.0, 0.1)),
+                 DimensionMismatch, "expected 3x3 Hamiltonian, got (2, 2)",
+                 id="build-liouvillian-2x2"),
+    pytest.param(lambda: validate_density_matrix(np.zeros((2, 2))), DimensionMismatch,
+                 "expected 3x3 density matrix, got (2, 2)", id="validate-2x2"),
+    pytest.param(lambda: validate_density_matrix(np.zeros((2, 4, 4))), DimensionMismatch,
+                 "expected 3x3 density matrix, got (2, 4, 4)", id="validate-stack-of-4x4"),
+    pytest.param(lambda: propagate(np.zeros((3, 3)), ground_state(), [1.0]), DimensionMismatch,
+                 "expected 9x9 Liouvillian, got (3, 3)", id="propagate-3x3-generator"),
+    pytest.param(lambda: propagate(np.zeros((9, 9)), ground_state(), [[1.0]]),
+                 DimensionMismatch, "expected a vector of times, got ndim=2",
+                 id="propagate-2d-times"),
+    pytest.param(lambda: propagate(np.zeros((9, 9)), ground_state(), 1.0), DimensionMismatch,
+                 "expected a vector of times, got ndim=0", id="propagate-scalar-time"),
+    pytest.param(lambda: level_projector(4), ValueError, "level must be 1, 2 or 3, got 4",
+                 id="level-projector-4"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", INPUT_CHECKS)
+def test_input_check(call, error, message):
+    with pytest.raises(error) as got:
+        call()
+    assert (type(got.value), str(got.value)) == (error, message)
+
+
 def test_evolved_state_is_valid(stock_drives, stock_dec):
     lv = build_liouvillian(rotating_hamiltonian(stock_drives), stock_dec)
     validate_density_matrix(evolve(lv, level_projector(3), 0.2))

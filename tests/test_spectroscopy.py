@@ -12,6 +12,7 @@ from delta_eita import (
     Drive,
     DriveSet,
     InsufficientResolution,
+    PeakReport,
     SingularDenominator,
     ValidationError,
     WindowTooNarrow,
@@ -489,6 +490,42 @@ class TestStackedSweep:
         with pytest.raises(DegenerateSteadyState) as stacked:
             sweep_detuning(stock_drives, stock_dec, grid)
         assert str(stacked.value) == f"at delta13=1e+13: {single.value}"
+
+
+#: Input checks: each call on the stock drives and rates, the exception
+#: type it raises and its message.
+INPUT_CHECKS = [
+    pytest.param(lambda d, g: sweep_detuning(d, g, []), ValidationError,
+                 "detuning grid must be a nonempty 1-d sequence", id="sweep-empty-grid"),
+    pytest.param(lambda d, g: sweep_detuning(d, g, [[0.0, 1.0]]), ValidationError,
+                 "detuning grid must be a nonempty 1-d sequence", id="sweep-2d-grid"),
+    pytest.param(lambda d, g: find_peaks(sweep_detuning(d, g, [0.0, 1.0])),
+                 InsufficientResolution, "need at least 3 grid points", id="find-peaks-2-rows"),
+    pytest.param(lambda d, g: hilbert_transform(np.zeros(4), np.arange(5.0)), ValidationError,
+                 "grid and values must be equal-length, n >= 3", id="hilbert-unequal-lengths"),
+    pytest.param(lambda d, g: population_inversion_scan(
+        SpectrumTable(detunings=[], rho31=[], populations=np.zeros((0, 3)), drives=d, dec=g)),
+        ValidationError, "empty spectrum table", id="inversion-scan-zero-rows"),
+    pytest.param(lambda d, g: PeakReport((1.0, 0.0), (1.0, 1.0), 0.5, 0.0, "EIT"),
+                 ValidationError, "peak positions must be sorted", id="peaks-unsorted"),
+    pytest.param(lambda d, g: PeakReport((0.0, 1.0), (1.0, 1.0), 0.5, -1.0, "EIT"),
+                 ValidationError, "fwhm must be >= 0", id="peaks-negative-fwhm"),
+    pytest.param(lambda d, g: PeakReport((0.0, 1.0), (1.0, 1.0), 0.5, 0.0, "DIP"),
+                 ValidationError, "unknown classification 'DIP'", id="peaks-unknown-class"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", INPUT_CHECKS)
+def test_input_check(stock_drives, stock_dec, call, error, message):
+    with pytest.raises(error) as got:
+        call(stock_drives, stock_dec)
+    assert (type(got.value), str(got.value)) == (error, message)
+
+
+def test_table_is_not_equal_to_another_type(stock_drives, stock_dec):
+    table = sweep_detuning(stock_drives, stock_dec, [0.0, 1.0])
+    assert table.__eq__(object()) is NotImplemented
+    assert (table == object()) is False
 
 
 class TestAnalyticCoherence:

@@ -1,5 +1,10 @@
 """The verify registry, its error guard and the fluxonium grid oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -8,6 +13,8 @@ from delta_eita import build_liouvillian, numerics, rotating_hamiltonian, verify
 from delta_eita.errors import NoSignChange
 from delta_eita.fluxonium import FluxoniumParams
 from delta_eita.spectroscopy import transparency_fwhm_estimate
+
+ROOT = Path(__file__).resolve().parent.parent
 
 #: Every check `--mode verify` prints, in order.
 CHECK_NAMES = [
@@ -44,6 +51,26 @@ def test_package_error_becomes_a_fail_result(monkeypatch):
     assert result == verify.CheckResult(
         "fluxonium_bias_and_rates", False,
         "raised NoSignChange: w21 - w10 does not change sign on [0.01, 0.2]")
+
+
+def test_fluxonium_check_lines_do_not_depend_on_blas_threads():
+    # their roundoff-level figures do (flux symmetry 8.9e-14 at one thread,
+    # 3.9e-14 at two), so those print as below a thousandth of their bound
+    script = ("from delta_eita import verify; "
+              "print(verify.check_fluxonium_limits()); "
+              "print(verify.check_fluxonium_bias_and_rates())")
+    lines = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+            **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                            threads))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines[threads] = proc.stdout
+    assert lines["1"].count("passed=True") == 2
+    assert lines["2"] == lines["1"]
 
 
 def grid_hamiltonian(p, flux):
