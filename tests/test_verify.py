@@ -1,6 +1,7 @@
 """The verify registry, its error guard and the fluxonium grid oracle."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,22 +55,24 @@ def test_package_error_becomes_a_fail_result(monkeypatch):
 
 
 def test_fluxonium_check_lines_do_not_depend_on_blas_threads():
-    # their roundoff-level figures do (flux symmetry 8.9e-14 at one thread,
-    # 3.9e-14 at two), so those print as below a thousandth of their bound
-    script = ("from delta_eita import verify; "
-              "print(verify.check_fluxonium_limits()); "
-              "print(verify.check_fluxonium_bias_and_rates())")
+    # roundoff-level figures do (flux symmetry 8.9e-14 at one thread, 3.9e-14
+    # at two), so those print as below a thousandth of their bound; only the
+    # runtimes of checks 1 and 17 are masked
+    argv = [sys.executable, "-m", "delta_eita.cli", "--config", "configs/eita.ini",
+            "--mode", "verify"]
     lines = {}
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
             **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
                             threads))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        lines[threads] = proc.stdout
-    assert lines["1"].count("passed=True") == 2
+        proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout.endswith("verify: 16/17 checks passed\n")
+        masked = re.sub(r"runtime [0-9.]+s", "runtime <x>s", proc.stdout)
+        lines[threads] = re.sub(r"\([0-9.]+s\)", "(<x>s)", masked).splitlines()
+    assert len(lines["1"]) == len(CHECK_NAMES) + 1
     assert lines["2"] == lines["1"]
 
 
