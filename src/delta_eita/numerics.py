@@ -8,9 +8,10 @@ matrix real; the validation helpers enforce the finite-entries contract
 at the boundary.  The solve takes a stack ``(m, n, n)`` of column-major
 members, which its caller lays out with each member's largest |entry|,
 and the exponential a matrix or a stack; each member's result is bit
-for bit the one it gets alone.  The exponential and the eigendecomposition are numpy alone; the solve (and
-the tridiagonal eigensolve of ``verify``'s fluxonium oracle) load
-scipy's LAPACK wrappers from their file but never import scipy.
+for bit the one it gets alone.  The exponential and the
+eigendecomposition are numpy alone; the solve (and the tridiagonal
+eigensolve of ``verify``'s fluxonium oracle) load scipy's LAPACK
+wrappers from their file but never import scipy.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.linalg import eigh_tridiagonal
 from delta_eita import build_liouvillian, numerics, rotating_hamiltonian, verify
 from delta_eita.errors import NoSignChange
 from delta_eita.fluxonium import FluxoniumParams
+from delta_eita.lindblad import steady_state
 from delta_eita.spectroscopy import transparency_fwhm_estimate
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +54,34 @@ def test_package_error_becomes_a_fail_result(monkeypatch):
     assert result == verify.CheckResult(
         "fluxonium_bias_and_rates", False,
         "raised NoSignChange: w21 - w10 does not change sign on [0.01, 0.2]")
+
+
+def test_checks_1_and_2_share_one_read_only_corpus(monkeypatch):
+    solved = []
+    monkeypatch.setattr(verify, "steady_state", lambda lv: solved.append(lv) or steady_state(lv))
+    verify._stock_corpus.cache_clear()
+    assert verify.check_steady_vs_longtime().passed
+    assert verify.check_invariant_suite().passed
+    assert len(solved) == 21
+    lvs, states = verify._stock_corpus()
+    assert (lvs.shape, states.shape) == ((21, 9, 9), (21, 3, 3))
+    assert not lvs.flags.writeable and not states.flags.writeable
+
+
+def test_invariant_check_reports_the_first_failing_state(monkeypatch):
+    # the 21 steady states pass, so the first evolve state is the one named
+    monkeypatch.setattr(verify, "evolve", lambda *args: np.diag([1.0 + 1e-6, 0.0, 0.0]))
+    assert verify.check_invariant_suite() == verify.CheckResult(
+        "state_and_generator_invariants", False,
+        "raised InvariantViolation: trace deviates from 1 by 1.000e-06")
+
+
+def test_csv_determinism_check_needs_no_file_system(monkeypatch):
+    def no_directory(*args, **kwargs):
+        raise OSError("no usable temporary directory")
+
+    monkeypatch.setattr(tempfile, "TemporaryDirectory", no_directory)
+    assert verify.check_csv_determinism().passed
 
 
 def test_fluxonium_check_lines_do_not_depend_on_blas_threads():
