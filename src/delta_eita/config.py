@@ -86,12 +86,12 @@ _SCHEMA = {
 
 #: Upper bounds on the two sizes a config sets, each keeping a run under
 #: ~1 GB: a sweep holds ~0.75 KB per grid point at its peak (the table and
-#: its CSV text), and a fluxonium run ~85 B per squared basis state (its
-#: two cached flux-free Hamiltonians, at basis_size and basis_size + 20,
-#: and the two real eigendecompositions with their workspace, one size
-#: after the other); at basis 2000 a run peaks at ~350 MB with one BLAS
-#: thread.  A larger value is a ValidationError before anything is
-#: allocated.
+#: its CSV text), and a fluxonium run ~95 B per squared basis state (its
+#: two cache entries, at basis_size and basis_size + 20, each the
+#: flux-free Hamiltonian and the charge operator, and the two real
+#: eigendecompositions with their workspace, one size after the other); at
+#: basis 2000 a run peaks at ~380 MB with one BLAS thread.  A larger value
+#: is a ValidationError before anything is allocated.
 MAX_GRID_POINTS = 1_000_000
 MAX_BASIS_SIZE = 2_000
 

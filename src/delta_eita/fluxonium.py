@@ -18,13 +18,16 @@ is real symmetric and affine in f.  The constant (el / 2) (2 pi f)^2 is
 dropped: it shifts every level alike, so it cancels in every level
 spacing and in the basis-convergence check.  h_osc - ej cos(phi), the
 O(n^3) part, is formed from symmetrized h_osc and cos(phi) once per
-(ec, el, ej, basis) and cached; phi and k are tridiagonal, cost O(n^2)
-and are formed per call, so a cache entry holds one matrix.  cos(phi)
-comes exactly from the eigendecomposition of the real-symmetric phi,
-which stays accurate at large zero-point spread.  Flux enters the
-inductive term; the alternative gauge (flux inside the cosine) gives
-the same spectrum, and only matrix-element magnitudes are exported, so
-the choice is observable-free.
+(ec, el, ej, basis) and cached as h0, beside the dense k and the one
+off-diagonal band of phi (tridiagonal, zero on its diagonal): a cache
+entry holds two matrices and a vector.  A flux bias then costs one pass
+over h0: H(f) = h0 - c phi, c = 2 pi f el, is h0 with c times phi's band
+subtracted on its two off-diagonals, the same bytes as the dense
+difference.  cos(phi) comes exactly from the eigendecomposition of the
+real-symmetric phi, which stays accurate at large zero-point spread.
+Flux enters the inductive term; the alternative gauge (flux inside the
+cosine) gives the same spectrum, and only matrix-element magnitudes are
+exported, so the choice is observable-free.
 
 The lowest three eigenstates are the working levels |1>, |2>, |3>;
 ``t_ij`` denotes |<i| n |j>| = |<i| k |j>|, the charge coupling to a
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,15 +150,30 @@ def _ladder_ops(ec: float, el: float, n: int):
     return phi_zpf * (ladder + ladder.T), n_zpf * (ladder.T - ladder)
 
 
+class _Operators(NamedTuple):
+    """The flux-free terms of one (ec, el, ej, basis) entry, read-only."""
+
+    h0: np.ndarray        # h_osc - ej cos(phi)
+    k: np.ndarray         # the charge operator, n = i k
+    phi_band: np.ndarray  # phi[i, i + 1] = phi[i + 1, i]; phi is zero elsewhere
+
+
 @lru_cache(maxsize=16)
-def _flux_free_hamiltonian(ec: float, el: float, ej: float, n: int) -> np.ndarray:
+def _flux_free_hamiltonian(ec: float, el: float, ej: float, n: int) -> _Operators:
     """h_osc - ej cos(phi) in the n-state oscillator basis, the flux-free
-    part of the device Hamiltonian, from symmetrized h_osc and cos(phi)."""
+    part of the device Hamiltonian, from symmetrized h_osc and cos(phi),
+    with the operators each flux bias needs besides it."""
     phi, k = _ladder_ops(ec, el, n)
-    h_osc = 4.0 * ec * (k @ k.T) + 0.5 * el * (phi @ phi)
-    w, v = np.linalg.eigh(phi)
-    cos_phi = (v * np.cos(w)) @ v.T
-    return 0.5 * (h_osc + h_osc.T) - ej * (0.5 * (cos_phi + cos_phi.T))
+    # huge energies overflow h0: build_device_hamiltonian reports it, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_osc = 4.0 * ec * (k @ k.T) + 0.5 * el * (phi @ phi)
+        w, v = np.linalg.eigh(phi)
+        cos_phi = (v * np.cos(w)) @ v.T
+        h0 = 0.5 * (h_osc + h_osc.T) - ej * (0.5 * (cos_phi + cos_phi.T))
+    ops = _Operators(h0, k, np.diagonal(phi, 1).copy())
+    for a in ops:
+        a.setflags(write=False)
+    return ops
 
 
 def build_device_hamiltonian(p: FluxoniumParams, flux: float,
@@ -166,10 +185,16 @@ def build_device_hamiltonian(p: FluxoniumParams, flux: float,
     or the flux are so large that a term overflows.
     """
     n = p.basis_size if basis_size is None else int(basis_size)
+    ops = _flux_free_hamiltonian(p.ec, p.el, p.ej, n)
     # a huge el * flux overflows the flux term: reported below, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = _ladder_ops(p.ec, p.el, n)[0]
-        h = _flux_free_hamiltonian(p.ec, p.el, p.ej, n) - (2.0 * np.pi * flux * p.el) * phi
+        c = 2.0 * np.pi * flux * p.el
+        # off phi's band h0 - c * 0 is h0: h0 holds no -0.0 there, as h_osc's
+        # entries add the +0.0 products of phi @ phi, whose entries are >= 0;
+        # a non-finite c leaves the band non-finite
+        h = ops.h0.copy()
+        flat = h.reshape(-1)
+        flat[1::n + 1] = flat[n::n + 1] = np.diagonal(ops.h0, 1) - c * ops.phi_band
     if not np.all(np.isfinite(h)):
         raise InvariantViolation(
             "device Hamiltonian is not finite: energies or flux overflow")
@@ -181,7 +206,7 @@ def _lowest_three(p: FluxoniumParams, flux: float, n: int):
     (t12, t13, t23) among their eigenstates, from one real ``eigh``."""
     w, v = numerics.hermitian_eig(build_device_hamiltonian(p, flux, basis_size=n))
     states = v[:, :3]
-    t = np.abs(states.T @ _ladder_ops(p.ec, p.el, n)[1] @ states)
+    t = np.abs(states.T @ _flux_free_hamiltonian(p.ec, p.el, p.ej, n).k @ states)
     return w[:3], t[[0, 0, 1], [1, 2, 2]]
 
 

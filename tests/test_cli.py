@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from delta_eita import ParseError, ValidationError, flux_sweep
+from delta_eita import ParseError, ValidationError, flux_sweep, fluxonium
 from delta_eita.cli import main
 from delta_eita.config import (
     INITIAL_STATES,
@@ -410,19 +410,31 @@ class TestMainModes:
     def test_stock_fluxonium_summary(self, tmp_path, capsys, spectrum_at_calls):
         # the full stock sweep and refinement: a moved root or coupling
         # changes this line; the bias comes from the sweep's own spectra, so
-        # the run makes the sweep's 50 spectra, at most 10 to refine the
-        # root and 1 at zero flux for the decay rates (70 by bisection)
+        # the run makes the sweep's 50 spectra, 6 to refine the root and 1
+        # at zero flux for the decay rates (70 by bisection)
         out_dir = tmp_path / "out"
         assert main(["--config", str(CONFIG_DIR / "fluxonium.ini"),
                      "--out", str(out_dir)]) == 0
         assert capsys.readouterr().out == (
             f"fluxonium n=50 csv={out_dir / 'fluxonium.csv'} balanced_bias=0.07657 "
             "decay_mhz=(g12=2.64,g13=25.4,g23=2.64)\n")
-        assert spectrum_at_calls.calls <= 50 + 10 + 1
+        assert spectrum_at_calls.calls == 50 + 6 + 1
         cfg = parse_config((CONFIG_DIR / "fluxonium.ini").read_text(encoding="utf-8"))
         write_fluxonium_csv(flux_sweep(cfg.fluxonium, cfg.grid()), tmp_path / "sweep.csv",
                             cfg.fluxonium)
         assert (out_dir / "fluxonium.csv").read_bytes() == (tmp_path / "sweep.csv").read_bytes()
+
+    def test_stock_fluxonium_builds_each_basis_once(self, tmp_path, spectrum_at_calls):
+        # a work count, the same on any host: each spectrum_at solves at
+        # basis 100 and 120, and each solve looks its cached operators up
+        # twice (for H(f) and for the couplings); only the first lookup at
+        # each size builds them
+        fluxonium._flux_free_hamiltonian.cache_clear()
+        assert main(["--config", str(CONFIG_DIR / "fluxonium.ini"),
+                     "--out", str(tmp_path / "out")]) == 0
+        solves = 2 * spectrum_at_calls.calls
+        info = fluxonium._flux_free_hamiltonian.cache_info()
+        assert (solves, info.misses, info.hits, info.currsize) == (114, 2, 2 * solves - 2, 2)
 
     def test_first_of_two_balanced_biases(self, tmp_path, capsys):
         # t12 = t23 near 0.053 and near 0.30: the ends of the range have the

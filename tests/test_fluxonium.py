@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from delta_eita import (
     BasisTooSmall,
     FluxoniumParams,
+    InvariantViolation,
     NoSignChange,
     ValidationError,
     build_device_hamiltonian,
@@ -529,3 +531,69 @@ def test_flux_sweep_error_carries_flux():
     cramped = FluxoniumParams(ej=30.0, ec=0.3, el=0.1, basis_size=30)
     with pytest.raises(BasisTooSmall, match="at flux=0.4"):
         flux_sweep(cramped, [0.4])
+
+
+def flux_free_hamiltonian(p, n):
+    """h_osc - ej cos(phi), formed term by term from the ladder operators,
+    outside the cache."""
+    phi, k = _ladder_ops(p.ec, p.el, n)
+    h_osc = 4.0 * p.ec * (k @ k.T) + 0.5 * p.el * (phi @ phi)
+    w, v = np.linalg.eigh(phi)
+    cos_phi = (v * np.cos(w)) @ v.T
+    return 0.5 * (h_osc + h_osc.T) - p.ej * (0.5 * (cos_phi + cos_phi.T))
+
+
+def dense_hamiltonian(h0, p, flux, n):
+    """H(f) with the ladder operators formed per call and the flux term
+    subtracted as a dense matrix, h0 - c phi."""
+    return h0 - (2.0 * np.pi * flux * p.el) * _ladder_ops(p.ec, p.el, n)[0]
+
+
+def spectrum_bytes(flux, levels, t):
+    """The floats of a FluxoniumSpectrum, as bytes: +0.0 and -0.0 differ."""
+    return np.array([flux, *levels, *t], dtype=float).tobytes()
+
+
+class TestCachedOperators:
+    # each basis size's operators are built once; a flux bias subtracts
+    # phi's band from the cached h0 and gives the dense form's bytes
+
+    @pytest.mark.parametrize("p", BENCH_DEVICES + [TestHarmonicLimit.TINY],
+                             ids=[f"d{i}" for i in range(12)] + ["harmonic"])
+    def test_same_bytes_as_the_dense_flux_term(self, p):
+        n, big = p.basis_size, p.basis_size + BASIS_STEP
+        h0 = {size: flux_free_hamiltonian(p, size) for size in (n, big)}
+        for flux in [0.0, -0.0, 0.13, -0.13, *STOCK_GRID]:
+            for size in (n, big):
+                assert (build_device_hamiltonian(p, flux, basis_size=size).tobytes()
+                        == dense_hamiltonian(h0[size], p, flux, size).tobytes())
+            w, v = np.linalg.eigh(dense_hamiltonian(h0[n], p, flux, n))
+            t = np.abs(v[:, :3].T @ _ladder_ops(p.ec, p.el, n)[1] @ v[:, :3])
+            s = spectrum_at(p, flux)
+            assert (spectrum_bytes(s.flux, s.levels, (s.t12, s.t13, s.t23))
+                    == spectrum_bytes(flux, (0.0, float(w[1] - w[0]), float(w[2] - w[0])),
+                                      t[[0, 0, 1], [1, 2, 2]]))
+
+    def test_an_entry_holds_two_read_only_matrices(self):
+        ops = fluxonium._flux_free_hamiltonian(DEVICE.ec, DEVICE.el, DEVICE.ej, 100)
+        assert [a.shape for a in ops] == [(100, 100), (100, 100), (99,)]
+        assert not any(a.flags.writeable for a in ops)
+        assert np.array_equal(ops.k, _ladder_ops(DEVICE.ec, DEVICE.el, 100)[1])
+        h = build_device_hamiltonian(DEVICE, 0.1)
+        assert h.flags.writeable and not np.shares_memory(h, ops.h0)
+
+    @pytest.mark.parametrize("energies, flux", [
+        ((9.0, 1e307, 1e307), 0.0),   # 4 ec k k^T overflows h0
+        ((9.0, 2.5, 0.52), 1e308),    # 2 pi flux el overflows
+    ], ids=["h0", "flux-term"])
+    def test_overflow_raises_on_a_first_and_a_cached_call(self, energies, flux):
+        p = FluxoniumParams(*energies)
+        fluxonium._flux_free_hamiltonian.cache_clear()
+        for hits in (0, 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvariantViolation, match=r"^device Hamiltonian is not "
+                                                             r"finite: energies or flux overflow$"):
+                    spectrum_at(p, flux)
+            info = fluxonium._flux_free_hamiltonian.cache_info()
+            assert (info.hits, info.misses) == (hits, 1)
