@@ -11,8 +11,9 @@ homodyne detector mixing the output with a local oscillator of phase
 
 A sweep maps to one ``ReflectionTable``: its ``SpectrumTable`` and a
 read-only ``a_out`` column, from which the I/Q quadratures are derived.
-Both relations take a scalar or a column and compute from real and
-imaginary parts, so each element is its scalar result bit for bit.
+``output_amplitude`` broadcasts its three arguments and ``homodyne_signal``
+takes a scalar or a column; both compute from real and imaginary parts, so
+each element is its scalar result bit for bit.
 
 The relation between the probe Rabi magnitude and the input photon-flux
 amplitude is a hardware calibration, not fixed here: by default both are
@@ -50,11 +51,16 @@ class ReflectionTable:
         return homodyne_signal(self.a_out, 0.5 * np.pi)
 
 
-def output_amplitude(a_in: complex, gamma13: float, rho31):
-    """Mean output field a_in + sqrt(gamma13) * rho31, scalar or column."""
-    if not gamma13 >= 0.0:
-        raise ValueError(f"gamma13 must be >= 0, got {gamma13}")
-    return scale_complex(rho31, np.sqrt(gamma13)) + complex(a_in)
+def output_amplitude(a_in, gamma13, rho31):
+    """Mean output field a_in + sqrt(gamma13) * rho31; the three broadcast.
+
+    Raises ValueError at the first ``gamma13`` element that is not >= 0.
+    """
+    negative = np.flatnonzero(~(np.asarray(gamma13) >= 0.0))
+    if negative.size:
+        raise ValueError(f"gamma13 must be >= 0, got {np.ravel(gamma13)[negative[0]]}")
+    rho31, root = np.broadcast_arrays(rho31, np.sqrt(gamma13))
+    return scale_complex(rho31, root) + np.asarray(a_in, complex)
 
 
 def homodyne_signal(a_out, lo_phase: float):

@@ -246,10 +246,7 @@ def sweep_phase(drives: DriveSet, dec: Decoherence, grid, phases) -> list[Spectr
     return [sweep_detuning(drives.with_loop_phase(phi), dec, grid) for phi in phases]
 
 
-def analytic_rho31(omega12: float, omega13: float, omega23: float,
-                   phases: tuple[float, float, float], delta13: float,
-                   gamma12: float, big_gamma3: float,
-                   pops: tuple[float, float, float]) -> complex:
+def analytic_rho31(omega12, omega13, omega23, phases, delta13, gamma12, big_gamma3, pops):
     """Closed-form probe coherence in the small-rho23 approximation.
 
     With F = 4 (i d13 - Gamma3)(i d13 - gamma12/2) + Omega23^2 and
@@ -258,17 +255,25 @@ def analytic_rho31(omega12: float, omega13: float, omega23: float,
         rho31 = -exp(-i phi13) [ 2i Omega13 (p1 - p3)(i d13 - gamma12/2)
                                  + Omega23 Omega12 exp(-i Phi) (p1 - p2) ] / F
 
-    Raises SingularDenominator when |F| < 1e-12.
+    Every argument may be an array, ``phases`` and ``pops`` as three each
+    (a table's ``populations.T``); they broadcast together.  Scalars give a
+    complex, arrays a complex array, each element within a few ulp of its
+    scalar value (numpy's vectorized complex arithmetic rounds differently).
+    Raises SingularDenominator at the first element where |F| < 1e-12.
     """
     phi12, phi13, phi23 = phases
     p1, p2, p3 = pops
     f = 4.0 * (1j * delta13 - big_gamma3) * (1j * delta13 - 0.5 * gamma12) + omega23 ** 2
-    if abs(f) < 1e-12:
-        raise SingularDenominator(f"|F| = {abs(f):.3e} at delta13 = {delta13}")
+    singular = np.abs(f) < 1e-12
+    if np.any(singular):
+        k = np.argmax(singular)  # the first, in C order
+        raise SingularDenominator(f"|F| = {np.abs(f).flat[k]:.3e} at delta13 = "
+                                  f"{np.broadcast_to(delta13, np.shape(f)).flat[k]}")
     loop = phi12 + phi23 - phi13
     num = (2j * omega13 * (p1 - p3) * (1j * delta13 - 0.5 * gamma12)
            + omega23 * omega12 * np.exp(-1j * loop) * (p1 - p2))
-    return complex(-np.exp(-1j * phi13) * num / f)
+    rho31 = -np.exp(-1j * phi13) * num / f
+    return complex(rho31) if np.ndim(rho31) == 0 else rho31
 
 
 def _refine(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from delta_eita import ParseError, ValidationError, flux_sweep, fluxonium
+from delta_eita import ParseError, ValidationError, flux_sweep, fluxonium, numerics
 from delta_eita.cli import main
 from delta_eita.config import (
     INITIAL_STATES,
@@ -752,6 +752,49 @@ def test_every_schema_config_ends_in_a_typed_exit_code(tmp_path_factory, text):
         code = main(["--config", str(path)])
     # every value has its key's type, so no config is a parse error (1)
     assert code in (0, 2, 3, 4), err.getvalue()
+
+
+#: The numerics entry points whose work a run is counted in.
+WORK = ("solve_in_place", "hermitian_eig", "expm")
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Each call of a WORK function, as the leading size of its first
+    argument (LU members, basis size, propagator members), by name."""
+    sizes = {name: [] for name in WORK}
+    for name in WORK:
+        def spy(a, *args, _name=name, _call=getattr(numerics, name)):
+            sizes[_name].append(len(a))
+            return _call(a, *args)
+        monkeypatch.setattr(numerics, name, spy)
+    return sizes
+
+
+#: The work of each shipped config and mode: one 801-member LU stack per
+#: sweep, one 1-member LU for a steady state, two real eigensolves
+#: (basis 100 and 120) for each of a fluxonium run's 57 flux points, one
+#: 201-member propagator stack for an evolution.
+WORK_COUNTS = [
+    ("eita", None, {"solve_in_place": [801]}),
+    ("eit", None, {"solve_in_place": [801]}),
+    ("lwi", None, {"solve_in_place": [801]}),
+    ("reflect", None, {"solve_in_place": [801]}),
+    ("phase_scan", None, {"solve_in_place": [801] * 4}),
+    ("eita", "steady", {"solve_in_place": [1]}),
+    ("fluxonium", None, {"hermitian_eig": [100, 120] * 57}),
+    ("eita", "evolve", {"expm": [201]}),
+]
+
+
+@pytest.mark.parametrize("config, mode, expected", WORK_COUNTS,
+                         ids=[f"{c}-{m or 'own'}" for c, m, _ in WORK_COUNTS])
+def test_work_counts(tmp_path, work, config, mode, expected):
+    # counts of work done are the same on any host: a change that adds
+    # work fails here, and one that removes work restates its count
+    argv = ["--config", str(CONFIG_DIR / f"{config}.ini"), "--out", str(tmp_path)]
+    assert main(argv + (["--mode", mode] if mode else [])) == 0
+    assert work == {name: expected.get(name, []) for name in WORK}
 
 
 #: The BLAS thread variables the command line sets to 1 unless they are set.

@@ -35,8 +35,31 @@ class TestOutputAmplitude:
 
     def test_rejects_negative_rate(self):
         for gamma13 in (-1.0, np.nan):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^gamma13 must be >= 0, got {gamma13}$"):
                 output_amplitude(0.0, gamma13, 0.0)
+
+    def test_first_negative_rate_element_is_named(self):
+        with pytest.raises(ValueError, match=r"^gamma13 must be >= 0, got -0\.25$"):
+            output_amplitude(0.0, np.array([1.0, 0.0, -0.25, -3.0, np.nan]), 0.1j)
+
+    def test_scalar_call_returns_pinned_bits(self):
+        out = output_amplitude(0.3 - 0.7j, 2.5, -0.11 + 0.42j)
+        assert type(out) is np.complex128
+        assert (out.real.hex(), out.imag.hex()) == ("0x1.023377a4a1608p-3",
+                                                    "-0x1.26453f3419b00p-5")
+
+    def test_arrays_equal_scalar_calls_bit_for_bit(self, rng):
+        a_in, rho = rng.normal(size=(2, 300)) + 1j * rng.normal(size=(2, 300))
+        gamma13 = rng.uniform(0.0, 4.0, 300)
+        scalar = [output_amplitude(*args) for args in
+                  zip(a_in.tolist(), gamma13.tolist(), rho.tolist())]
+        assert output_amplitude(a_in, gamma13, rho).tobytes() == np.array(scalar).tobytes()
+        # each argument broadcasts against the others
+        for args in ((a_in[0], gamma13, rho), (a_in, gamma13[0], rho),
+                     (a_in, gamma13, rho[0])):
+            column = [output_amplitude(*(np.broadcast_to(x, (300,))[i] for x in args))
+                      for i in range(300)]
+            assert output_amplitude(*args).tobytes() == np.array(column).tobytes()
 
 
 class TestHomodyne:

@@ -99,3 +99,47 @@ def test_runs_without_a_csv_do_not_import_orjson(tmp_path, argv):
 def test_a_run_that_writes_a_csv_imports_orjson(tmp_path):
     argv = ["--config", str(ROOT / "configs" / "eita.ini"), "--out", str(tmp_path)]
     assert _fresh_cli_run(tmp_path, argv, module="orjson")[:2] == (0, True)
+
+
+CODE_LINES = ROOT / "tools" / "code_lines.py"
+
+#: Seven code lines: docstrings, comments and blank lines do not count; a
+#: statement or a string over two lines counts two.
+SAMPLE = '''"""Module docstring
+over two lines."""
+
+import os  # a comment
+
+# a comment line
+
+
+def f(x):
+    """Docstring."""
+    return (x +
+            1)
+
+
+class C:
+    """Docstring."""
+    y = """not a docstring
+    but a value"""
+'''
+
+
+def _code_lines(*argv):
+    proc = subprocess.run([sys.executable, str(CODE_LINES), *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return [line.split() for line in proc.stdout.splitlines()]
+
+
+def test_code_line_counter_rules(tmp_path):
+    (tmp_path / "sample.py").write_text(SAMPLE, encoding="utf-8")
+    assert _code_lines(str(tmp_path)) == [["7", "sample.py"], ["7", "total"]]
+
+
+def test_code_line_counter_covers_every_module():
+    rows = _code_lines()
+    modules = sorted(path.name for path in (ROOT / "src" / "delta_eita").glob("*.py"))
+    assert [name for _, name in rows] == modules + ["total"]
+    assert int(rows[-1][0]) == sum(int(n) for n, _ in rows[:-1]) > 0

@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from delta_eita import (
 )
 from delta_eita import lindblad, spectroscopy
 from delta_eita.atom import rotating_diagonal
+from delta_eita.config import parse_config
 from delta_eita.lindblad import evolve, maximally_mixed
 from delta_eita.spectroscopy import SWEEP_BLOCK, SpectrumTable, kramers_kronig_grid
 
@@ -528,6 +530,14 @@ def test_table_is_not_equal_to_another_type(stock_drives, stock_dec):
     assert (table == object()) is False
 
 
+def draws(rng, n):
+    """``n`` random closed-form inputs: drives, detuning, rates and
+    populations, each an array over the draws (``pops`` as three)."""
+    om12, om13, om23 = rng.uniform(0.0, 2.0, (3, n))
+    return (om12, om13, om23, rng.uniform(-3.0, 3.0, n), rng.uniform(0.0, 0.5, n),
+            rng.uniform(0.2, 2.0, n), rng.dirichlet(np.ones(3), n).T)
+
+
 class TestAnalyticCoherence:
     def test_transparency_zero(self):
         out = analytic_rho31(0.0, 0.2, 1.0, (0.0, 0.0, 0.0), 0.0, 0.0, 0.55,
@@ -535,32 +545,72 @@ class TestAnalyticCoherence:
         assert out == 0.0
 
     def test_mirror_identity_random(self, rng):
-        for _ in range(200):
-            om12, om13, om23 = rng.uniform(0.0, 2.0, 3)
-            delta = rng.uniform(-3.0, 3.0)
-            g12 = rng.uniform(0.0, 0.5)
-            g3 = rng.uniform(0.2, 2.0)
-            pops = tuple(rng.dirichlet(np.ones(3)))
-            mirrored = analytic_rho31(om12, om13, om23, (np.pi, 0.0, 0.0),
-                                      -delta, g12, g3, pops)
-            base = analytic_rho31(om12, om13, om23, (0.0, 0.0, 0.0),
-                                  delta, g12, g3, pops)
-            assert mirrored.imag == pytest.approx(base.imag, abs=1e-12)
-            assert mirrored.real == pytest.approx(-base.real, abs=1e-12)
+        om12, om13, om23, delta, g12, g3, pops = draws(rng, 200)
+        mirrored = analytic_rho31(om12, om13, om23, (np.pi, 0.0, 0.0), -delta, g12, g3, pops)
+        base = analytic_rho31(om12, om13, om23, (0.0, 0.0, 0.0), delta, g12, g3, pops)
+        assert mirrored.shape == base.shape == (200,)
+        np.testing.assert_allclose(mirrored.imag, base.imag, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(mirrored.real, -base.real, rtol=0.0, atol=1e-12)
 
     def test_tracks_full_solution_loosely(self, stock_drives, stock_dec):
         # the small-rho23 form is a ~12% approximation at the stock probe
         grid = np.linspace(-2.0, 2.0, 201)
         table = sweep_detuning(stock_drives, stock_dec, grid)
-        ana = np.array([
-            analytic_rho31(0.2, 0.2, 1.0, (0.0, 0.0, 0.0), d, 0.1, 0.55, tuple(pops))
-            for d, pops in zip(table.detunings, table.populations)])
+        ana = analytic_rho31(0.2, 0.2, 1.0, (0.0, 0.0, 0.0), table.detunings, 0.1, 0.55,
+                             table.populations.T)
         err = np.max(np.abs(ana - table.rho31))
         assert err <= 0.15 * np.max(np.abs(table.rho31))
 
+    @pytest.mark.parametrize("phases", [(0.0, 0.0, 0.0), (np.pi, 0.0, 0.0), (0.3, 1.1, -0.4)])
+    def test_arrays_agree_with_scalar_calls(self, rng, phases):
+        # numpy's vectorized complex arithmetic may round differently from
+        # its scalar arithmetic, by an ulp or so of the result
+        om12, om13, om23, delta, g12, g3, pops = draws(rng, 1000)
+        column = analytic_rho31(om12, om13, om23, phases, delta, g12, g3, pops)
+        scalar = np.array([analytic_rho31(*args[:3], phases, *args[3:6], tuple(args[6:]))
+                           for args in zip(om12.tolist(), om13.tolist(), om23.tolist(),
+                                           delta.tolist(), g12.tolist(), g3.tolist(),
+                                           *pops.tolist())])
+        assert column.dtype == complex and column.shape == (1000,)
+        assert np.max(np.abs(column - scalar)) <= 4.0 * np.spacing(np.max(np.abs(scalar)))
+
+    def test_arguments_broadcast(self):
+        # a (2, 1) drive against (3,) detunings: a (2, 3) table of scalar calls
+        om23, delta = np.array([[1.0], [2.5]]), np.array([-0.5, 0.1, 1.2])
+        out = analytic_rho31(0.2, 0.3, om23, (0.4, 0.0, 0.0), delta, 0.1, 0.55,
+                             (0.8, 0.15, 0.05))
+        expected = [[analytic_rho31(0.2, 0.3, w, (0.4, 0.0, 0.0), d, 0.1, 0.55,
+                                    (0.8, 0.15, 0.05)) for d in delta.tolist()]
+                    for w in om23[:, 0].tolist()]
+        assert out.shape == (2, 3)
+        np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-16)
+
+    @pytest.mark.parametrize("args, bits", [
+        ((0.2, 0.2, 1.0, (0.0, 0.0, 0.0), 0.37, 0.1, 0.55, (0.8, 0.15, 0.05)),
+         ("-0x1.63fca45d35eb4p-6", "-0x1.f4669aa7023dbp-8")),
+        ((0.2, 0.2, 1.0, (np.pi, 0.0, 0.0), -1.3, 0.1, 0.55, (0.7, 0.2, 0.1)),
+         ("0x1.e5d47b8fab71ep-6", "0x1.d2f78a012cfdbp-7")),
+        ((1.7, 0.4, 2.5, (0.3, 1.1, -0.4), 2.9, 0.45, 1.9, (0.5, 0.3, 0.2)),
+         ("0x1.78f8ad73a5427p-6", "0x1.219db69950e2fp-8")),
+    ])
+    def test_scalar_call_returns_pinned_bits(self, args, bits):
+        # scalar arithmetic, as the scalar-only closed form rounded it
+        out = analytic_rho31(*args)
+        assert type(out) is complex
+        assert (out.real.hex(), out.imag.hex()) == bits
+
     def test_singular_denominator(self):
-        with pytest.raises(SingularDenominator):
+        with pytest.raises(SingularDenominator,
+                           match=r"^\|F\| = 0\.000e\+00 at delta13 = 0\.5$"):
             analytic_rho31(0.2, 0.2, 1.0, (0.0, 0.0, 0.0), 0.5, 0.0, 0.0,
+                           (1.0, 0.0, 0.0))
+
+    def test_first_singular_element_is_named(self):
+        # F vanishes at delta13 = +-0.5 when gamma12 = Gamma3 = 0, Omega23 = 1
+        delta = np.array([0.1, 0.5000000000001, -0.5, 0.2])
+        with pytest.raises(SingularDenominator,
+                           match=r"^\|F\| = 4\.001e-13 at delta13 = 0\.5000000000001$"):
+            analytic_rho31(0.2, 0.2, 1.0, (0.0, 0.0, 0.0), delta, 0.0, 0.0,
                            (1.0, 0.0, 0.0))
 
 
@@ -925,3 +975,72 @@ class TestTableExtras:
         row = [l for l in lines if not l.startswith("#")][1].split(",")
         assert len(row) == 7
         assert float(row[0]) == 0.0
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped_spectra():
+    """Drives, rates and grid of every shipped spectrum config, one set per
+    loop phase of a phase sweep, each with its config's name as id."""
+    for name in ("eita", "eit", "lwi", "reflect", "phase_scan"):
+        cfg = parse_config((CONFIG_DIR / f"{name}.ini").read_text(encoding="utf-8"))
+        if cfg.mode == "phase-sweep":
+            for phi in cfg.phases:
+                yield pytest.param(cfg.drives.with_loop_phase(phi), cfg.dec, cfg.grid(),
+                                   id=f"{name}-phi{phi:.4f}")
+        else:
+            yield pytest.param(cfg.drives, cfg.dec, cfg.grid(), id=name)
+
+
+def absorption_roots(drives, dec, grid, tol=1e-10):
+    """Where Im rho31 vanishes on ``grid``: each exact zero sample, and in
+    each cell where the sweep changes sign, the root bisected with
+    ``probe_response`` to a bracket of ``tol``."""
+    y = sweep_detuning(drives, dec, grid).absorption
+    roots = [float(grid[k]) for k in np.flatnonzero(y == 0.0)]
+    for k in np.flatnonzero(y[:-1] * y[1:] < 0.0):
+        lo, hi = float(grid[k]), float(grid[k + 1])
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            y_mid = float(probe_response(drives, dec, mid).absorption[0])
+            if y_mid == 0.0:
+                lo = hi = mid
+            elif (y_mid > 0.0) == (y[k] > 0.0):
+                lo = mid
+            else:
+                hi = mid
+        roots.append(0.5 * (lo + hi))
+    return sorted(roots)
+
+
+#: Sign changes of Im rho31 on each shipped spectrum, to 1e-6: the gain
+#: sandwich's window edge and far edge at loop phase 0 (eita, reflect and
+#: phase_scan share its drives), their mirror at pi, the gain window
+#: (-0.335347, +0.335347) at 3pi/2, lwi's odd zero at 0, and none for the
+#: transparency (eit) and plain-absorption (pi/2) profiles.
+SIGN_CHANGES = {
+    "eita": [0.034259, 0.473858],
+    "eit": [],
+    "lwi": [0.0],
+    "reflect": [0.034259, 0.473858],
+    "phase_scan-phi0.0000": [0.034259, 0.473858],
+    "phase_scan-phi1.5708": [],
+    "phase_scan-phi3.1416": [-0.473858, -0.034259],
+    "phase_scan-phi4.7124": [-0.335347, 0.335347],
+}
+
+
+class TestSandwichRoots:
+    @pytest.mark.parametrize("drives, dec, grid", shipped_spectra())
+    def test_sign_changes_of_the_absorption(self, request, drives, dec, grid):
+        name = request.node.callspec.id
+        roots = absorption_roots(drives, dec, grid)
+        assert roots == pytest.approx(SIGN_CHANGES[name], abs=5e-7)
+        report = find_peaks(sweep_detuning(drives, dec, grid))
+        if report.classification == "EITA":
+            step = float(grid[1] - grid[0])
+            nearest = min(roots, key=abs)
+            gap = abs(report.window_center - nearest)
+            assert gap <= step, (f"{name}: window_center {report.window_center:+.6f} "
+                                 f"is {gap:.2e} from the root {nearest:+.6f}")
