@@ -11,6 +11,7 @@ import functools
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 # One BLAS thread unless the caller set a count: the threaded Householder
 # reduction in the fluxonium eigensolves rounds differently, so the CSV
@@ -24,9 +25,11 @@ if "numpy" not in sys.modules:
 
 import numpy as np
 
-from .atom import rotating_hamiltonian
+# Each mode imports the package modules it runs inside its own branch,
+# so a run loads no module that only other modes need (a fluxonium run
+# loads neither lindblad nor spectroscopy nor inout); only the config and
+# the errors every mode shares are imported here.
 from .config import RunConfig, dump_config, parse_config
-from .csvout import write_csv
 from .errors import (
     DeltaEitaError,
     InsufficientResolution,
@@ -35,32 +38,9 @@ from .errors import (
     ValidationError,
     WindowTooNarrow,
 )
-from .fluxonium import (
-    find_balanced_bias,
-    flux_sweep,
-    scale_decay_rates,
-    spectrum_at,
-    write_fluxonium_csv,
-)
-from .inout import reflection_spectrum, write_reflection_csv
-from .lindblad import (
-    build_liouvillian,
-    ground_state,
-    level_projector,
-    maximally_mixed,
-    propagate,
-    steady_state,
-)
-from .spectroscopy import (
-    SpectrumTable,
-    _reported,
-    autler_townes_positions,
-    find_peaks,
-    population_inversion_scan,
-    sweep_detuning,
-    transparency_fwhm_estimate,
-    write_spectrum_csv,
-)
+
+if TYPE_CHECKING:
+    from .spectroscopy import SpectrumTable
 
 
 def _out_path(cfg: RunConfig, default_base: str, suffix: str = "") -> Path:
@@ -71,13 +51,15 @@ def _out_path(cfg: RunConfig, default_base: str, suffix: str = "") -> Path:
 
 
 def _summarize_sweep(table: SpectrumTable, path) -> str:
-    report = find_peaks(table)
-    min_inv, at = population_inversion_scan(table)
+    from . import spectroscopy
+
+    report = spectroscopy.find_peaks(table)
+    min_inv, at = spectroscopy.population_inversion_scan(table)
     peaks = " ".join(f"{p:+.4g}:{h:+.4g}"
                      for p, h in zip(report.peak_positions, report.peak_heights))
     om23 = table.drives.d23.magnitude
-    at_lo, at_hi = autler_townes_positions(om23)
-    est = transparency_fwhm_estimate(table.dec, om23)
+    at_lo, at_hi = spectroscopy.autler_townes_positions(om23)
+    est = spectroscopy.transparency_fwhm_estimate(table.dec, om23)
     return (f"class={report.classification} peaks=[{peaks}] "
             f"window_center={report.window_center:+.4g} fwhm={report.fwhm:.4g} "
             f"min_inversion={min_inv:.4g}@{at:+.4g} "
@@ -94,8 +76,10 @@ def _csv_units(cfg: RunConfig) -> str:
 def run(cfg: RunConfig) -> int:
     """Execute one mode; returns the process exit status."""
     if cfg.mode == "steady":
-        lv = build_liouvillian(rotating_hamiltonian(cfg.drives), cfg.dec)
-        rho = steady_state(lv)
+        from . import atom, lindblad
+
+        lv = lindblad.build_liouvillian(atom.rotating_hamiltonian(cfg.drives), cfg.dec)
+        rho = lindblad.steady_state(lv)
         inversion = (rho[0, 0] - rho[2, 2]).real
         entries = " ".join(
             f"rho{i + 1}{j + 1}={rho[i, j]:.6g}" for i in range(3) for j in range(3))
@@ -104,51 +88,59 @@ def run(cfg: RunConfig) -> int:
         return 0
 
     if cfg.mode == "sweep":
-        table = sweep_detuning(cfg.drives, cfg.dec, cfg.grid())
+        from . import spectroscopy
+
+        table = spectroscopy.sweep_detuning(cfg.drives, cfg.dec, cfg.grid())
         path = _out_path(cfg, "sweep")
-        write_spectrum_csv(table, path, {"units": _csv_units(cfg)})
+        spectroscopy.write_spectrum_csv(table, path, {"units": _csv_units(cfg)})
         print(f"sweep n={len(table)} {_summarize_sweep(table, path)}")
         return 0
 
     if cfg.mode == "phase-sweep":
+        from . import spectroscopy
+
         labels = [f"_phi{phi:.4f}" for phi in cfg.phases]
         clash = next((label for label in labels if labels.count(label) > 1), None)
         if clash:
             raise ValidationError(f"two phases would write one CSV, {clash}")
         for phi, label in zip(cfg.phases, labels):
             drives = cfg.drives.with_loop_phase(phi)
-            table = sweep_detuning(drives, cfg.dec, cfg.grid())
+            table = spectroscopy.sweep_detuning(drives, cfg.dec, cfg.grid())
             path = _out_path(cfg, "phase_sweep", label)
-            write_spectrum_csv(table, path, {"units": _csv_units(cfg)})
+            spectroscopy.write_spectrum_csv(table, path, {"units": _csv_units(cfg)})
             print(f"phase-sweep phi={phi:.4f} n={len(table)} "
                   f"{_summarize_sweep(table, path)}")
         return 0
 
     if cfg.mode == "evolve":
-        lv = build_liouvillian(rotating_hamiltonian(cfg.drives), cfg.dec)
-        rho = {"ground": ground_state(), "mixed": maximally_mixed(),
-               "excited": level_projector(3)}[cfg.evolve_initial]
+        from . import atom, csvout, lindblad, spectroscopy
+
+        lv = lindblad.build_liouvillian(atom.rotating_hamiltonian(cfg.drives), cfg.dec)
+        rho = {"ground": lindblad.ground_state(), "mixed": lindblad.maximally_mixed(),
+               "excited": lindblad.level_projector(3)}[cfg.evolve_initial]
         times = np.linspace(0.0, cfg.evolve_t, 201)
-        rho31, pops = _reported(cfg.drives, propagate(lv, rho, times))
+        rho31, pops = spectroscopy._reported(cfg.drives, lindblad.propagate(lv, rho, times))
         path = _out_path(cfg, "evolve")
-        write_csv(path, ("t", "pop1", "pop2", "pop3", "re_rho31", "im_rho31"),
-                  (times, *pops.T, rho31.real, rho31.imag))
+        csvout.write_csv(path, ("t", "pop1", "pop2", "pop3", "re_rho31", "im_rho31"),
+                         (times, *pops.T, rho31.real, rho31.imag))
         p1, p2, p3 = pops[-1]
         print(f"evolve t={cfg.evolve_t:g} initial={cfg.evolve_initial} "
               f"pops=({p1:.6g},{p2:.6g},{p3:.6g}) csv={path}")
         return 0
 
     if cfg.mode == "fluxonium":
-        spectra = flux_sweep(cfg.fluxonium, cfg.grid())
+        from . import fluxonium
+
+        spectra = fluxonium.flux_sweep(cfg.fluxonium, cfg.grid())
         path = _out_path(cfg, "fluxonium")
-        write_fluxonium_csv(spectra, path, cfg.fluxonium)
+        fluxonium.write_fluxonium_csv(spectra, path, cfg.fluxonium)
         msg = f"fluxonium n={len(spectra)} csv={path}"
         try:
-            balanced = find_balanced_bias(cfg.fluxonium, spectra)
+            balanced = fluxonium.find_balanced_bias(cfg.fluxonium, spectra)
             msg += f" balanced_bias={balanced.flux:.5f}"
             if cfg.gamma_ref_mhz:
-                t_ref = spectrum_at(cfg.fluxonium, 0.0).t12
-                est = scale_decay_rates(cfg.gamma_ref_mhz, t_ref, balanced)
+                t_ref = fluxonium.spectrum_at(cfg.fluxonium, 0.0).t12
+                est = fluxonium.scale_decay_rates(cfg.gamma_ref_mhz, t_ref, balanced)
                 msg += (f" decay_mhz=(g12={est.gamma12:.3g},"
                         f"g13={est.gamma13:.3g},g23={est.gamma23:.3g})")
         except NoSignChange:
@@ -157,10 +149,12 @@ def run(cfg: RunConfig) -> int:
         return 0
 
     if cfg.mode == "reflect":
-        reflection = reflection_spectrum(cfg.drives, cfg.dec, cfg.a_in, cfg.grid(),
-                                         tie_probe_to_input=cfg.tie_probe_to_input)
+        from . import inout
+
+        reflection = inout.reflection_spectrum(cfg.drives, cfg.dec, cfg.a_in, cfg.grid(),
+                                               tie_probe_to_input=cfg.tie_probe_to_input)
         path = _out_path(cfg, "reflect")
-        write_reflection_csv(reflection, path, {
+        inout.write_reflection_csv(reflection, path, {
             "a_in": cfg.a_in, "gamma13": cfg.dec.gamma13,
             "loop_phase": reflection.table.loop_phase, "units": _csv_units(cfg),
         })
@@ -169,7 +163,7 @@ def run(cfg: RunConfig) -> int:
         return 0
 
     if cfg.mode == "verify":
-        from . import verify  # no other mode needs it; importing it takes ~10 ms
+        from . import verify
 
         results = verify.run_all()
         failed = 0

@@ -57,9 +57,11 @@ def as_complex_matrix(a, stack: bool = False) -> np.ndarray:
 
 
 def scale_complex(z, c: complex):
-    """``z * c`` for a scalar or array ``z`` and a scalar ``c``, from real
-    and imaginary parts: each element rounds like the scalar product, bit
-    for bit, where numpy's vectorized complex multiply can differ."""
+    """``z * c`` for a scalar or array ``z`` and either a scalar ``c`` or a
+    real array ``c`` of ``z``'s shape, applied element by element (as
+    ``inout.output_amplitude`` passes sqrt(gamma13)), from real and
+    imaginary parts: each element rounds like the scalar product, bit for
+    bit, where numpy's vectorized complex multiply can differ."""
     z = np.asarray(z, dtype=complex)
     out = np.empty(z.shape, dtype=complex)
     out.real = z.real * c.real - z.imag * c.imag

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from delta_eita import Decoherence, Drive, DriveSet, cli, fluxonium, numerics
+from delta_eita import Decoherence, Drive, DriveSet, fluxonium, numerics
 
 
 @pytest.fixture
@@ -43,7 +43,8 @@ def solve():
 @pytest.fixture
 def spectrum_at_calls(monkeypatch):
     """``fluxonium.spectrum_at``, wrapped to count its calls in ``.calls``,
-    in place of the function in ``fluxonium`` and in ``cli``."""
+    in place of the function in ``fluxonium``, through which the command
+    line and the module's own sweeps call it."""
     spectrum = fluxonium.spectrum_at
 
     def counted(p, flux):
@@ -52,5 +53,4 @@ def spectrum_at_calls(monkeypatch):
 
     counted.calls = 0
     monkeypatch.setattr(fluxonium, "spectrum_at", counted)
-    monkeypatch.setattr(cli, "spectrum_at", counted)
     return counted

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from delta_eita import ParseError, ValidationError, flux_sweep, fluxonium, numerics
+from delta_eita import ParseError, ValidationError, flux_sweep, fluxonium, lindblad, numerics
 from delta_eita.cli import main
 from delta_eita.config import (
     INITIAL_STATES,
@@ -795,6 +795,47 @@ def test_work_counts(tmp_path, work, config, mode, expected):
     argv = ["--config", str(CONFIG_DIR / f"{config}.ini"), "--out", str(tmp_path)]
     assert main(argv + (["--mode", mode] if mode else [])) == 0
     assert work == {name: expected.get(name, []) for name in WORK}
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    """``[checked, uncertain]``: the states ``validate_density_matrix``
+    puts to the Cholesky certificate, and how many of them it leaves to
+    ``eigvalsh``."""
+    counts = [0, 0]
+
+    def spy(sym, floor, _clears=lindblad._cholesky_clears):
+        cleared = _clears(sym, floor)
+        counts[0] += len(cleared)
+        counts[1] += int(np.count_nonzero(~cleared))
+        return cleared
+
+    monkeypatch.setattr(lindblad, "_cholesky_clears", spy)
+    return counts
+
+
+#: The states each shipped config and mode validates: one per sweep point,
+#: one steady state, and an evolution's 201 samples plus its initial state.
+#: Verify's count (16,587 in a fresh process) shrinks once its cached stock
+#: corpus is built, so only its uncertain count is pinned.
+CERTIFIED = [
+    ("eita", None, 801), ("eit", None, 801), ("lwi", None, 801), ("reflect", None, 801),
+    ("phase_scan", None, 4 * 801), ("fluxonium", None, 0), ("eita", "sweep", 801),
+    ("eita", "reflect", 801), ("eita", "phase-sweep", 4 * 801), ("eita", "steady", 1),
+    ("eita", "evolve", 201 + 1), ("eita", "verify", None),
+]
+
+
+@pytest.mark.parametrize("config, mode, checked", CERTIFIED,
+                         ids=[f"{c}-{m or 'own'}" for c, m, _ in CERTIFIED])
+def test_certificate_clears_every_state(tmp_path, certificates, config, mode, checked):
+    # no state of a shipped run reaches eigvalsh: the certificate decides
+    # them all, and a run that validates more states restates its count
+    argv = ["--config", str(CONFIG_DIR / f"{config}.ini"), "--out", str(tmp_path)]
+    rc = main(argv + (["--mode", mode] if mode else []))
+    assert rc == 0 or mode == "verify"  # verify exits 3 while check 4b fails
+    assert certificates[1] == 0
+    assert certificates[0] == checked or checked is None and certificates[0] > 0
 
 
 #: The BLAS thread variables the command line sets to 1 unless they are set.

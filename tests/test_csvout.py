@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from delta_eita import cli, fluxonium, inout, spectroscopy
+from delta_eita import cli, csvout, fluxonium, inout, spectroscopy
 from delta_eita.csvout import write_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -141,10 +141,11 @@ def test_shipped_runs_write_reference_bytes(tmp_path, monkeypatch, config, mode)
         reference_csv(f"{path}.ref", header, columns, meta)
         written.append(Path(path))
 
-    for module in (cli, fluxonium, inout, spectroscopy):
+    for module in (csvout, fluxonium, inout, spectroscopy):
         monkeypatch.setattr(module, "write_csv", both)
     argv = ["--config", str(CONFIG_DIR / f"{config}.ini"), "--out", str(tmp_path)]
     assert cli.main(argv + (["--mode", mode] if mode else [])) == 0
-    assert written
+    # every CSV the run wrote went through the patched writer
+    assert written and sorted(written) == sorted(tmp_path.glob("*.csv"))
     for path in written:
         assert path.read_bytes() == Path(f"{path}.ref").read_bytes(), path.name

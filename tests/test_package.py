@@ -38,21 +38,22 @@ def test_every_export_resolves():
     assert len(set(delta_eita.__all__)) == len(delta_eita.__all__)
 
 
-def _fresh_cli_run(tmp_path, argv, module="scipy"):
+def _fresh_cli_run(tmp_path, argv):
     """Run ``cli.main(argv)`` (no run for ``None``) in a fresh interpreter;
-    return its exit status, whether ``module`` got imported, and its stdout."""
+    return its exit status, the names of the modules it imported, and its
+    stdout."""
     code = ("import sys\n"
             "import delta_eita.cli\n"
             f"rc = 0 if {argv!r} is None else delta_eita.cli.main({argv!r})\n"
-            f"print(rc, {module!r} in sys.modules)\n")
+            "print(rc, *sorted(sys.modules))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     *lines, last = proc.stdout.splitlines()
-    rc, loaded = last.split()
-    return int(rc), loaded == "True", lines
+    rc, *modules = last.split()
+    return int(rc), set(modules), lines
 
 
 #: Every shipped config and mode, with its exit status and the start of
@@ -74,8 +75,8 @@ def test_start_up_path_does_not_import_scipy(tmp_path, config, mode, rc, summary
         "--config", str(ROOT / "configs" / f"{config}.ini"), "--out", str(tmp_path)]
     if mode is not None:
         argv += ["--mode", mode]
-    got_rc, loaded, lines = _fresh_cli_run(tmp_path, argv)
-    assert (got_rc, loaded) == (rc, False)
+    got_rc, modules, lines = _fresh_cli_run(tmp_path, argv)
+    assert (got_rc, "scipy" in modules) == (rc, False)
     if summary is None:
         assert lines == []
     else:
@@ -90,15 +91,41 @@ def test_start_up_path_does_not_import_scipy(tmp_path, config, mode, rc, summary
 def test_runs_without_a_csv_do_not_import_orjson(tmp_path, argv):
     if argv is not None:
         argv = ["--config", str(ROOT / "configs" / "eita.ini"), "--out", str(tmp_path), *argv]
-    rc, loaded, lines = _fresh_cli_run(tmp_path, argv, module="orjson")
-    assert (rc, loaded) == (0, False)
+    rc, modules, lines = _fresh_cli_run(tmp_path, argv)
+    assert (rc, "orjson" in modules) == (0, False)
     assert argv is None or lines
     assert not list(tmp_path.glob("*.csv"))
 
 
 def test_a_run_that_writes_a_csv_imports_orjson(tmp_path):
     argv = ["--config", str(ROOT / "configs" / "eita.ini"), "--out", str(tmp_path)]
-    assert _fresh_cli_run(tmp_path, argv, module="orjson")[:2] == (0, True)
+    rc, modules, _ = _fresh_cli_run(tmp_path, argv)
+    assert (rc, "orjson" in modules) == (0, True)
+
+
+#: The package modules every run loads: the command line, its config
+#: parser (which takes the literature [fluxonium] energies from
+#: ``fluxonium``, and with it ``csvout`` and ``numerics``) and the errors.
+SHARED = {"atom", "cli", "config", "csvout", "errors", "fluxonium", "numerics"}
+SPECTRUM = SHARED | {"lindblad", "spectroscopy"}
+
+
+#: Each mode imports, inside its own branch, only the modules it runs.
+@pytest.mark.parametrize("config, mode, modules", [
+    (None, None, SHARED), ("fluxonium", None, SHARED),
+    ("eita", "steady", SHARED | {"lindblad"}), ("eita", None, SPECTRUM),
+    ("phase_scan", None, SPECTRUM), ("eita", "evolve", SPECTRUM),
+    ("reflect", None, SPECTRUM | {"inout"}),
+], ids=["import", "fluxonium", "eita-steady", "eita-sweep", "phase_scan", "eita-evolve",
+        "reflect"])
+def test_each_mode_loads_only_the_modules_it_runs(tmp_path, config, mode, modules):
+    argv = None if config is None else [
+        "--config", str(ROOT / "configs" / f"{config}.ini"), "--out", str(tmp_path)]
+    if mode is not None:
+        argv += ["--mode", mode]
+    rc, loaded, _ = _fresh_cli_run(tmp_path, argv)
+    assert rc == 0
+    assert {name.split(".")[1] for name in loaded if name.startswith("delta_eita.")} == modules
 
 
 CODE_LINES = ROOT / "tools" / "code_lines.py"
@@ -143,3 +170,17 @@ def test_code_line_counter_covers_every_module():
     modules = sorted(path.name for path in (ROOT / "src" / "delta_eita").glob("*.py"))
     assert [name for _, name in rows] == modules + ["total"]
     assert int(rows[-1][0]) == sum(int(n) for n, _ in rows[:-1]) > 0
+
+
+def test_cold_start_tool_times_one_run():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "cold_start.py"),
+                           "--repeats", "1", "--only", "fluxonium"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *_, header, row = proc.stdout.splitlines()
+    assert header.split() == ["run", "tree", "median_ms", "min_ms", "rc", "modules"]
+    label, tree, median, low, rc, count, *modules = row.split()
+    assert (label, tree, rc) == ("fluxonium", "this", "0")
+    assert float(median) == float(low) > 0.0
+    assert count == f"{len(SHARED)}:" and set(modules) == SHARED
+    assert "bytecode" in proc.stdout

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -978,6 +979,7 @@ class TestTableExtras:
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+BENCH = CONFIG_DIR.parent / "bench"
 
 
 def shipped_spectra():
@@ -991,6 +993,27 @@ def shipped_spectra():
                                    id=f"{name}-phi{phi:.4f}")
         else:
             yield pytest.param(cfg.drives, cfg.dec, cfg.grid(), id=name)
+
+
+def bench_pool_spectra():
+    """Drives, rates and 801-point grid of each atom of the benchmark's
+    spectra pool (``bench/workloads.py``, only read), at the atom's own
+    loop phase and at the four default phases of a phase sweep, with ids
+    ``p<i>-own`` and ``p<i>-phi<phase>``; an own phase that is one of the
+    four is not repeated."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    import workloads
+
+    inis = {item.key: item.ini for item in workloads.pool("spectra")}
+    for i in range(workloads.SPECTRA_POOL):
+        cfg = parse_config(inis[f"spectra/p{i}/sweep"])
+        phases = parse_config(inis[f"spectra/p{i}/phase-sweep"]).phases
+        if cfg.drives.d12.phase not in phases:
+            yield pytest.param(cfg.drives, cfg.dec, cfg.grid(), id=f"p{i}-own")
+        for phi in phases:
+            yield pytest.param(cfg.drives.with_loop_phase(phi), cfg.dec, cfg.grid(),
+                               id=f"p{i}-phi{phi:.4f}")
 
 
 def absorption_roots(drives, dec, grid, tol=1e-10):
@@ -1031,12 +1054,59 @@ SIGN_CHANGES = {
 }
 
 
+#: Sign changes of Im rho31 on each spectrum of the benchmark's pool, to
+#: 1e-6: the window edge and far edge at loop phase 0 and their mirror at
+#: pi, a gain window symmetric about zero at 3pi/2, and at pi/2 either
+#: none or a pair beyond the absorption line (p2, p3 and p5), where Im
+#: rho31 turns negative in both tails.  Atom 0 is the stock atom.
+POOL_SIGN_CHANGES = {
+    "p0-phi0.0000": [0.034259, 0.473858],
+    "p0-phi1.5708": [],
+    "p0-phi3.1416": [-0.473858, -0.034259],
+    "p0-phi4.7124": [-0.335347, 0.335347],
+    "p1-own": [-0.425795, 0.232209],
+    "p1-phi0.0000": [0.047116, 0.467712],
+    "p1-phi1.5708": [],
+    "p1-phi3.1416": [-0.467712, -0.047116],
+    "p1-phi4.7124": [-0.341931, 0.341931],
+    "p2-own": [],
+    "p2-phi0.0000": [0.020826, 0.590847],
+    "p2-phi1.5708": [-2.153546, 2.153546],
+    "p2-phi3.1416": [-0.590847, -0.020826],
+    "p2-phi4.7124": [-0.385570, 0.385570],
+    "p3-own": [-0.154579, 0.475011],
+    "p3-phi0.0000": [0.037333, 0.599888],
+    "p3-phi1.5708": [-1.777038, 1.777038],
+    "p3-phi3.1416": [-0.599888, -0.037333],
+    "p3-phi4.7124": [-0.325259, 0.325259],
+    "p4-own": [],
+    "p4-phi0.0000": [0.004370, 0.298611],
+    "p4-phi1.5708": [],
+    "p4-phi3.1416": [-0.298611, -0.004370],
+    "p4-phi4.7124": [-0.248089, 0.248089],
+    "p5-own": [-0.314303, 0.539993],
+    "p5-phi0.0000": [0.019002, 0.779639],
+    "p5-phi1.5708": [-1.087686, 1.087686],
+    "p5-phi3.1416": [-0.779639, -0.019002],
+    "p5-phi4.7124": [-0.434687, 0.434687],
+}
+
+
 class TestSandwichRoots:
     @pytest.mark.parametrize("drives, dec, grid", shipped_spectra())
     def test_sign_changes_of_the_absorption(self, request, drives, dec, grid):
-        name = request.node.callspec.id
+        self.check(request.node.callspec.id, drives, dec, grid, SIGN_CHANGES)
+
+    @pytest.mark.parametrize("drives, dec, grid", bench_pool_spectra())
+    def test_sign_changes_on_the_bench_pool(self, request, drives, dec, grid):
+        self.check(request.node.callspec.id, drives, dec, grid, POOL_SIGN_CHANGES)
+
+    @staticmethod
+    def check(name, drives, dec, grid, pinned):
+        """The bisected roots are the pinned ones, and an ``EITA`` window
+        centre lies within one grid step of the root nearest zero."""
         roots = absorption_roots(drives, dec, grid)
-        assert roots == pytest.approx(SIGN_CHANGES[name], abs=5e-7)
+        assert roots == pytest.approx(pinned[name], abs=5e-7)
         report = find_peaks(sweep_detuning(drives, dec, grid))
         if report.classification == "EITA":
             step = float(grid[1] - grid[0])
